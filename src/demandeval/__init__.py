@@ -26,14 +26,7 @@ from .errors import (
     TooFewGroups,
     WindowTooLarge,
 )
-from .series import (
-    DemandSeries,
-    EvaluationPair,
-    ForecastSeries,
-    PrefixSums,
-    prefix_sums,
-    validate_series,
-)
+from .series import DemandSeries, EvaluationPair, ForecastSeries
 from .spec import (
     DEFAULT_PARAMS,
     AlphaSweepPoint,
@@ -107,9 +100,6 @@ __all__ = [
     "DemandSeries",
     "ForecastSeries",
     "EvaluationPair",
-    "PrefixSums",
-    "validate_series",
-    "prefix_sums",
     # cost metric
     "SpecParams",
     "DEFAULT_PARAMS",

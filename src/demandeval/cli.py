@@ -102,15 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pair(path: str) -> EvaluationPair:
-    return parse_pair_csv(path)
-
-
 def _params(args: argparse.Namespace) -> SpecParams:
     return SpecParams(alpha1=args.alpha1, alpha2=args.alpha2)
 
 
-def _manifest(args: argparse.Namespace, command: str, config: dict, seeds: dict, outputs) -> RunManifest:
+def _manifest(command: str, config: dict, seeds: dict, outputs) -> RunManifest:
     return RunManifest(
         command=command,
         version=__version__,
@@ -127,7 +123,7 @@ def _write_sibling_manifest(manifest: RunManifest, out_path: Path) -> None:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    pair = _load_pair(args.input)
+    pair = parse_pair_csv(args.input)
     params = _params(args)
     metrics = None
     if args.metrics:
@@ -142,7 +138,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         sys.stdout.write(report_to_csv(report))
     else:
         manifest = _manifest(
-            args,
             "score",
             {"input": args.input, "alpha1": params.alpha1, "alpha2": params.alpha2,
              "metrics": list(report.entries)},
@@ -154,7 +149,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    pair = _load_pair(args.input)
+    pair = parse_pair_csv(args.input)
     params = _params(args)
     breakdown = spec_decompose(pair, params)
     out_path = Path(args.out)
@@ -164,7 +159,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         Path(args.svg).write_text(render_decomposition_svg(breakdown), encoding="utf-8")
         outputs.append(Path(args.svg))
     manifest = _manifest(
-        args,
         "decompose",
         {"input": args.input, "alpha1": params.alpha1, "alpha2": params.alpha2},
         {},
@@ -180,7 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         label = Path(path).stem
         if label in curves:
             label = f"{label}_{len(curves)}"
-        curves[label] = spec_alpha_sweep(_load_pair(path), args.grid_size)
+        curves[label] = spec_alpha_sweep(parse_pair_csv(path), args.grid_size)
     out_path = Path(args.out)
     out_path.write_text(sweep_to_csv(curves), encoding="utf-8")
     outputs = [out_path]
@@ -188,7 +182,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.svg).write_text(render_sweep_svg(curves), encoding="utf-8")
         outputs.append(Path(args.svg))
     manifest = _manifest(
-        args,
         "sweep",
         {"inputs": list(args.input), "grid_size": args.grid_size},
         {},
@@ -236,7 +229,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_pair_csv(pair, pair_path)
 
     manifest = _manifest(
-        args,
         "simulate",
         {
             "demand": {
@@ -290,7 +282,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     payload = report.to_dict()
     payload["manifest"] = _manifest(
-        args, f"experiment {args.kind}", {"config_file": args.config}, {"seed": report.seed},
+        f"experiment {args.kind}", {"config_file": args.config}, {"seed": report.seed},
         [out_path],
     ).to_dict()
     out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -25,6 +25,8 @@ from .series import DemandSeries, EvaluationPair
 from .simulate import (
     DemandGenConfig,
     ErrorInjectionConfig,
+    _check_finite,
+    _check_sigma,
     generate_demand,
     naive_forecast,
     perturb_forecast,
@@ -110,8 +112,7 @@ class ReliabilityConfig:
             raise InvalidConfig(
                 f"field 'error_directions': must be one of {_DIRECTIONS}, got {self.error_directions!r}"
             )
-        if not isinstance(self.error_mu, (int, float)) or not math.isfinite(self.error_mu):
-            raise InvalidConfig(f"field 'error_mu': must be a finite number, got {self.error_mu!r}")
+        _check_finite("field 'error_mu':", self.error_mu)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReliabilityConfig":
@@ -150,8 +151,7 @@ class ValidityConfig:
                 f"field 'direction': must be 'vertical' or 'horizontal', got {self.direction!r}"
             )
         object.__setattr__(self, "mu_levels", _check_levels("mu_levels", self.mu_levels, 3))
-        if not isinstance(self.sigma, (int, float)) or not math.isfinite(self.sigma) or self.sigma < 0:
-            raise InvalidConfig(f"field 'sigma': must be a finite number >= 0, got {self.sigma!r}")
+        _check_sigma("field 'sigma':", self.sigma)
         _check_count("series_count", self.series_count, 2)
         _check_count("forecasts_per_series", self.forecasts_per_series, 2)
         object.__setattr__(self, "metrics", _check_metrics(self.metrics))

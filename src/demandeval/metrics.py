@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParams
 from .series import EvaluationPair
 from .spec import DEFAULT_PARAMS, SpecParams, spec_fast
 
@@ -218,7 +219,7 @@ def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT
     try:
         func = _METRIC_FUNCS[name]
     except KeyError:
-        raise KeyError(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}") from None
+        raise InvalidParams(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}") from None
     return func(pair)
 
 

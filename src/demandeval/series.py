@@ -1,4 +1,4 @@
-"""Validated demand/forecast series containers and prefix-sum helpers.
+"""Validated demand/forecast series containers.
 
 Quantities are non-negative reals (SKU units per time step). Time steps are
 abstract integer units; all external reporting is 1-based (t = 1..n), while
@@ -30,33 +30,11 @@ def _validated_array(raw) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DemandSeries:
-    """Actual demand quantities, one non-negative value per time step."""
+class _Series:
+    """Non-negative finite quantities, one per time step, stored read-only.
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validated_array(self.values))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-
-@dataclass(frozen=True, eq=False)
-class ForecastSeries:
-    """Forecast quantities; negative forecasts are rejected, not clamped.
-
-    A negative value would mean a negative delivery into the notional
-    warehouse, which has no interpretation in this cost model.
+    Equality compares values and requires the same series type, so a demand
+    series never equals a forecast series.
     """
 
     values: np.ndarray
@@ -75,6 +53,18 @@ class ForecastSeries:
         if not isinstance(other, type(self)):
             return NotImplemented
         return np.array_equal(self.values, other.values)
+
+
+class DemandSeries(_Series):
+    """Actual demand quantities, one non-negative value per time step."""
+
+
+class ForecastSeries(_Series):
+    """Forecast quantities; negative forecasts are rejected, not clamped.
+
+    A negative value would mean a negative delivery into the notional
+    warehouse, which has no interpretation in this cost model.
+    """
 
 
 @dataclass(frozen=True)
@@ -98,27 +88,3 @@ class EvaluationPair:
     def from_values(cls, actual, forecast) -> "EvaluationPair":
         return cls(DemandSeries(actual), ForecastSeries(forecast))
 
-
-@dataclass(frozen=True, eq=False)
-class PrefixSums:
-    """cumulative[t] holds the sum of the first t+1 values (0-based index)."""
-
-    cumulative: np.ndarray
-
-    def at(self, t: int) -> float:
-        """Cumulative total through 1-based time step t."""
-        return float(self.cumulative[t - 1])
-
-
-def validate_series(raw) -> DemandSeries:
-    """Check a raw sequence and wrap it as a DemandSeries.
-
-    Raises EmptySeries, NegativeValue or NonFiniteValue on bad input.
-    """
-    return DemandSeries(raw)
-
-
-def prefix_sums(series: DemandSeries | ForecastSeries) -> PrefixSums:
-    cum = np.cumsum(series.values)
-    cum.setflags(write=False)
-    return PrefixSums(cum)

@@ -24,7 +24,7 @@ MAGNITUDE_FLOOR = 1.0
 
 
 def _check_finite(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
 
 
@@ -60,13 +60,17 @@ class DemandGenConfig:
     round_magnitudes: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InvalidConfig(f"n must be a positive integer, got {self.n!r}")
         _check_finite("count_mu", self.count_mu)
         _check_sigma("count_sigma", self.count_sigma)
         _check_finite("magnitude_mu", self.magnitude_mu)
         _check_sigma("magnitude_sigma", self.magnitude_sigma)
         _check_seed("seed", self.seed)
+        if not isinstance(self.round_magnitudes, bool):
+            raise InvalidConfig(
+                f"round_magnitudes must be true or false, got {self.round_magnitudes!r}"
+            )
 
 
 @dataclass(frozen=True)

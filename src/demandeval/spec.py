@@ -9,11 +9,12 @@ been charged 1 + 2 + ... + k times by the end. Owed units are weighted by
 ``alpha1`` (opportunity cost), stored units by ``alpha2`` (stock-keeping
 cost), and the grand total is divided by the series length.
 
-Two evaluators are provided. :func:`spec_literal` is the normative reference:
-a direct O(n^2) transcription of the definition, kept permanently as the
-oracle other code is tested against. :func:`spec_fast` is the production
-path: an O(n) FIFO netting algorithm that must agree with the reference to
-1e-9.
+One production kernel computes it: an O(n) FIFO netting loop that yields
+the charge at every step. :func:`spec_fast` (the score),
+:func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
+(the alpha trade-off line) are all derived from it. :func:`spec_literal` is
+the normative reference: a direct O(n^2) transcription of the definition,
+kept permanently as the oracle the kernel is tested against to 1e-9.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ class SpecParams:
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < 0
+            ):
                 raise InvalidParams(f"{name} must be a finite non-negative number, got {value!r}")
         if self.alpha1 == 0 and self.alpha2 == 0:
             raise InvalidParams("alpha1 and alpha2 cannot both be zero; the score would be identically 0")
@@ -138,18 +144,21 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
     return total / n
 
 
-def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
-    """O(n) evaluator matching :func:`spec_literal` to 1e-9.
+def _fifo_charges(
+    pair: EvaluationPair, alpha1: float, alpha2: float
+) -> tuple[list[float], list[float], float]:
+    """Weighted owed and held charges at each step (0-based) and their total.
 
     Maintains FIFO queues of still-open demand and delivery batches, netting
     them against each other each step. The age-weighted charge for a whole
     queue is computed in O(1) from the running aggregates sum(q) and
     sum(q * origin), since sum(q * (t - origin + 1)) = (t+1)*sum(q) - sum(q*origin).
+    The total is accumulated in step order; :func:`spec_fast` returns it
+    divided by n, so its bits depend on that order.
     """
-    y = pair.actual.values.tolist()
-    f = pair.forecast.values.tolist()
-    n = len(y)
-    a1, a2 = params.alpha1, params.alpha2
+    n = pair.n
+    opp = [0.0] * n
+    stock = [0.0] * n
 
     owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
     held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
@@ -158,7 +167,8 @@ def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> floa
 
     total = 0.0
     t = 0
-    for yt, ft in zip(y, f):
+    # memoryview yields one float at a time; .tolist() would hold 2n at once
+    for yt, ft in zip(memoryview(pair.actual.values), memoryview(pair.forecast.values)):
         t += 1
         if yt > 0.0:
             owed.append([t, yt])
@@ -189,42 +199,27 @@ def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> floa
         if not held:
             held_q = held_qt = 0.0
         if owed_q > 0.0:
-            total += a1 * ((t + 1) * owed_q - owed_qt)
+            charge = alpha1 * ((t + 1) * owed_q - owed_qt)
+            opp[t - 1] = charge
+            total += charge
         if held_q > 0.0:
-            total += a2 * ((t + 1) * held_q - held_qt)
-    return total / n
+            charge = alpha2 * ((t + 1) * held_q - held_qt)
+            stock[t - 1] = charge
+            total += charge
+    return opp, stock, total
 
 
-def _unit_period_profile(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-free age-weighted unit totals charged at each step (0-based)."""
-    y = pair.actual.values.tolist()
-    f = pair.forecast.values.tolist()
-    n = len(y)
+def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
+    """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
+    return _fifo_charges(pair, params.alpha1, params.alpha2)[2] / pair.n
 
-    ycum = np.cumsum(pair.actual.values).tolist()
-    fcum = np.cumsum(pair.forecast.values).tolist()
 
-    opp = np.zeros(n)
-    stock = np.zeros(n)
-    for t in range(n):
-        ft = fcum[t]
-        yt = ycum[t]
-        opp_t = 0.0
-        stock_t = 0.0
-        for i in range(t + 1):
-            owed = ycum[i] - ft
-            if owed > y[i]:
-                owed = y[i]
-            if owed > 0.0:
-                opp_t += owed * (t - i + 1)
-            held = fcum[i] - yt
-            if held > f[i]:
-                held = f[i]
-            if held > 0.0:
-                stock_t += held * (t - i + 1)
-        opp[t] = opp_t
-        stock[t] = stock_t
-    return opp, stock
+def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Weight-free per-step unit-period charges and their sums per side."""
+    opp, stock, _ = _fifo_charges(pair, 1.0, 1.0)
+    opp_units = np.array(opp)
+    stock_units = np.array(stock)
+    return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum())
 
 
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:
@@ -233,9 +228,7 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     The weighted per-step arrays sum to ``n * spec_value``; the unit-period
     aggregates let any other weighting be evaluated without rescoring.
     """
-    opp_units, stock_units = _unit_period_profile(pair)
-    opp_total = float(opp_units.sum())
-    stock_total = float(stock_units.sum())
+    opp_units, stock_units, opp_total, stock_total = _unit_periods(pair)
     per_t_opp = params.alpha1 * opp_units
     per_t_stock = params.alpha2 * stock_units
     per_t_opp.setflags(write=False)
@@ -254,14 +247,12 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
 def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoint]:
     """Score the pair along alpha1 = 0 .. 1 with alpha2 = 1 - alpha1.
 
-    Uses a single decomposition and the score's linearity in the weights, so
-    the cost is one O(n^2) pass regardless of grid size.
+    Uses one weight-free pass of the O(n) kernel and the score's linearity
+    in the weights, so the cost does not grow with the grid size.
     """
     if not isinstance(grid_size, int) or grid_size < 2:
         raise InvalidParams(f"grid_size must be an integer >= 2, got {grid_size!r}")
-    opp_units, stock_units = _unit_period_profile(pair)
-    opp_total = float(opp_units.sum())
-    stock_total = float(stock_units.sum())
+    _, _, opp_total, stock_total = _unit_periods(pair)
     n = pair.n
     points = []
     for k in range(grid_size):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from demandeval import (
+    DemandEvalError,
     EvaluationPair,
     MetricReport,
     compute_all,
@@ -166,5 +167,5 @@ class TestComputeAll:
             assert report.entries[name].kind == "undefined"
 
     def test_unknown_metric(self, model_a_pair):
-        with pytest.raises(KeyError):
+        with pytest.raises(DemandEvalError):
             compute_all(model_a_pair, metrics=("mae", "nope"))

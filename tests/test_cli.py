@@ -1,6 +1,7 @@
 """End-to-end command line behaviour (in-process, via main())."""
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -170,6 +171,31 @@ class TestSimulate:
         out = tmp_path / "run"
         run_cli("simulate", "--config", str(cfg), "--out-dir", str(out))
         assert run_cli("score", "--input", str(out / "pair.csv")) == 0
+
+
+def test_decompose_and_sweep_scale_to_long_series(tmp_path):
+    # n = 1e5 is a production horizon; a quadratic kernel takes minutes here
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "n": 100_000, "count_mu": 30_000.0, "count_sigma": 0.0,
+        "magnitude_mu": 10.0, "magnitude_sigma": 3.0, "seed": 5,
+        "error": {"horizontal_sigma": 2.0, "vertical_sigma": 1.0, "seed": 6},
+    }))
+    assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    pair_csv = str(tmp_path / "pair.csv")
+    commands = {
+        "decompose": ("decompose", "--input", pair_csv, "--out", str(tmp_path / "steps.csv"),
+                      "--svg", str(tmp_path / "steps.svg")),
+        "sweep": ("sweep", "--input", pair_csv, "--grid-size", "101",
+                  "--out", str(tmp_path / "sweep.csv")),
+    }
+    for name, argv in commands.items():
+        start = time.perf_counter()
+        assert run_cli(*argv) == 0
+        elapsed = time.perf_counter() - start
+        assert elapsed < 20.0, f"{name} took {elapsed:.1f} s on n = 100000"
+    assert len((tmp_path / "steps.csv").read_text().splitlines()) == 100_001
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 102
 
 
 class TestExperimentCommand:

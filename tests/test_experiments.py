@@ -81,6 +81,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="metrics"):
             small_reliability(metrics=("mae", "nope"))
 
+    @pytest.mark.parametrize(
+        "make,field", [(small_reliability, "error_mu"), (small_validity, "sigma")]
+    )
+    def test_bool_is_not_a_number(self, make, field):
+        with pytest.raises(InvalidConfig, match=field):
+            make(**{field: True})
+
     def test_from_dict_unknown_field(self):
         data = {
             "demand": {"n": 48, "count_mu": 5, "count_sigma": 1,

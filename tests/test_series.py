@@ -1,8 +1,6 @@
-"""Series containers, validation, and prefix sums."""
+"""Series containers and validation."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from demandeval import (
     DemandSeries,
@@ -12,32 +10,30 @@ from demandeval import (
     LengthMismatch,
     NegativeValue,
     NonFiniteValue,
-    prefix_sums,
-    validate_series,
 )
 
 
 class TestValidateSeries:
     def test_well_formed(self):
-        series = validate_series([0, 8, 0])
+        series = DemandSeries([0, 8, 0])
         assert series.n == 3
         assert list(series.values) == [0.0, 8.0, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
-            validate_series([])
+            DemandSeries([])
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeValue):
-            validate_series([1, -2])
+            DemandSeries([1, -2])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteValue):
-            validate_series([1.0, bad])
+            DemandSeries([1.0, bad])
 
     def test_values_are_read_only(self):
-        series = validate_series([1, 2, 3])
+        series = DemandSeries([1, 2, 3])
         with pytest.raises(ValueError):
             series.values[0] = 9.0
 
@@ -45,6 +41,12 @@ class TestValidateSeries:
         with pytest.raises(NegativeValue):
             ForecastSeries([-0.5])
         assert ForecastSeries([0.5]).n == 1
+
+    def test_equality_needs_same_series_type(self):
+        assert DemandSeries([1, 2]) == DemandSeries([1.0, 2.0])
+        assert ForecastSeries([1, 2]) == ForecastSeries([1.0, 2.0])
+        assert DemandSeries([1, 2]) != ForecastSeries([1, 2])
+        assert ForecastSeries([1, 2]) != DemandSeries([1, 2])
 
 
 class TestEvaluationPair:
@@ -55,34 +57,3 @@ class TestEvaluationPair:
     def test_n(self):
         pair = EvaluationPair.from_values([1, 2], [2, 1])
         assert pair.n == 2
-
-
-class TestPrefixSums:
-    def test_direct_summation(self):
-        ps = prefix_sums(DemandSeries([0, 0, 8, 0, 6]))
-        assert list(ps.cumulative) == [0, 0, 8, 8, 14]
-        assert ps.at(3) == 8
-        assert ps.at(5) == 14
-
-    def test_single_element(self):
-        assert list(prefix_sums(DemandSeries([4])).cumulative) == [4]
-
-    def test_all_zero(self):
-        ps = prefix_sums(DemandSeries([0.0] * 14))
-        assert list(ps.cumulative) == [0.0] * 14
-
-    @given(
-        st.lists(
-            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=100)
-    def test_first_differences_reconstruct(self, values):
-        ps = prefix_sums(DemandSeries(values))
-        cum = np.asarray(ps.cumulative)
-        rebuilt = np.diff(cum, prepend=0.0)
-        assert np.allclose(rebuilt, values, atol=1e-9)
-        assert (np.diff(cum) >= -1e-9).all()
-        assert cum[-1] == pytest.approx(sum(values), abs=1e-9 * max(1.0, sum(values)))

@@ -76,6 +76,12 @@ class TestGenerateDemand:
             _config(count_sigma=-1.0)
         with pytest.raises(InvalidConfig):
             _config(seed=-1)
+        for bad in (dict(n=True), dict(count_mu=True), dict(round_magnitudes="no"),
+                    dict(round_magnitudes=1)):
+            with pytest.raises(InvalidConfig):
+                _config(**bad)
+        with pytest.raises(InvalidConfig):
+            ErrorInjectionConfig(vertical_sigma=True)
 
 
 class TestPerturbForecast:

@@ -21,7 +21,9 @@ class TestParams:
         assert DEFAULT_PARAMS.alpha1 == 0.75
         assert DEFAULT_PARAMS.alpha2 == 0.25
 
-    @pytest.mark.parametrize("a1,a2", [(-0.1, 0.5), (0.5, -1), (float("nan"), 1)])
+    @pytest.mark.parametrize(
+        "a1,a2", [(-0.1, 0.5), (0.5, -1), (float("nan"), 1), (True, 0.5), (0.5, False)]
+    )
     def test_invalid_weights(self, a1, a2):
         with pytest.raises(InvalidParams):
             SpecParams(a1, a2)

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from demandeval import EvaluationPair, SpecParams, spec_literal, stock_cost
+from demandeval import (
+    DemandGenConfig,
+    ErrorInjectionConfig,
+    EvaluationPair,
+    SpecParams,
+    generate_demand,
+    perturb_forecast,
+    spec_decompose,
+    spec_fast,
+    spec_literal,
+    stock_cost,
+)
 from conftest import random_pair
 
 
@@ -39,3 +50,25 @@ class TestStockCost:
             assert stock_cost(pair, params) == pytest.approx(
                 spec_literal(pair, params), abs=1e-9
             )
+
+    def test_exact_integer_agreement_at_large_n(self):
+        # whole-unit spikes moved in time and dyadic weights keep every
+        # charge and running total an exact float, so the kernel and the
+        # oracle must agree to the last bit, not just to a tolerance
+        n = 100_000
+        actual = generate_demand(DemandGenConfig(
+            n=n, count_mu=30_000.0, count_sigma=0.0, magnitude_mu=10.0,
+            magnitude_sigma=5.0, seed=2020, round_magnitudes=True,
+        ))
+        forecast = perturb_forecast(actual, ErrorInjectionConfig(horizontal_sigma=3.0, seed=2021))
+        pair = EvaluationPair(actual, forecast)
+        for a1, a2 in ((1.0, 0.0), (0.0, 1.0), (0.75, 0.25)):
+            params = SpecParams(a1, a2)
+            assert spec_fast(pair, params) == stock_cost(pair, params)
+        breakdown = spec_decompose(pair)
+        assert breakdown.opp_unit_periods > 0 and breakdown.stock_unit_periods > 0
+        assert breakdown.opp_unit_periods.is_integer()
+        assert breakdown.stock_unit_periods.is_integer()
+        # both sides round the same exact integer total divided by n
+        assert breakdown.opp_unit_periods / n == spec_fast(pair, SpecParams(1.0, 0.0))
+        assert breakdown.stock_unit_periods / n == spec_fast(pair, SpecParams(0.0, 1.0))
