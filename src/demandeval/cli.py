@@ -35,6 +35,7 @@ from .experiments import (
     ReliabilityConfig,
     SegmentReliabilityConfig,
     ValidityConfig,
+    _cost_validity_from_dict,
     run_cost_validity,
     run_reliability,
     run_segment_reliability_config,
@@ -257,28 +258,13 @@ _EXPERIMENT_RUNNERS = {
     "reliability": (ReliabilityConfig.from_dict, run_reliability),
     "validity": (ValidityConfig.from_dict, run_validity),
     "segment-reliability": (SegmentReliabilityConfig.from_dict, run_segment_reliability_config),
+    "cost-validity": (_cost_validity_from_dict, lambda parsed: run_cost_validity(*parsed)),
 }
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    data = read_json_config(args.config)
-    if args.kind == "cost-validity":
-        fields = dict(data)
-        cost_params = SpecParams(
-            alpha1=fields.pop("cost_alpha1", 0.75), alpha2=fields.pop("cost_alpha2", 0.25)
-        )
-        metric_params = None
-        if "metric_alpha1" in fields or "metric_alpha2" in fields:
-            metric_params = SpecParams(
-                alpha1=fields.pop("metric_alpha1", 0.75),
-                alpha2=fields.pop("metric_alpha2", 0.25),
-            )
-        config = ReliabilityConfig.from_dict(fields)
-        report = run_cost_validity(config, cost_params, metric_params)
-    else:
-        parse, run = _EXPERIMENT_RUNNERS[args.kind]
-        report = run(parse(data))
-
+    parse, run = _EXPERIMENT_RUNNERS[args.kind]
+    report = run(parse(read_json_config(args.config)))
     out_path = Path(args.out)
     payload = report.to_dict()
     payload["manifest"] = _manifest(

@@ -1,5 +1,8 @@
 """Config-driven reliability and validity studies on simulated demand.
 
+The reliability, validity and cost-validity studies all score one stream of
+(seed, perturbed forecast, score) pairs, produced by :func:`_pair_stream`;
+each runner only says which cells to visit and how to reduce the scores.
 Every runner is a pure function of (config, seed): per-task generator seeds
 are derived with numpy ``SeedSequence`` spawn keys, tasks are evaluated in a
 fixed order, and aggregation uses compensated summation, so rerunning a
@@ -14,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .simulate import (
     DemandGenConfig,
     ErrorInjectionConfig,
     _check_finite,
+    _check_int,
     _check_sigma,
     generate_demand,
     naive_forecast,
@@ -71,20 +75,56 @@ def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _check_count(name: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidConfig(f"field '{name}': must be an integer >= {minimum}, got {value!r}")
+def _check_numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise InvalidConfig(f"field '{name}': expected a list of numbers, got {values!r}") from None
+    for v in entries:
+        _check_finite(f"field '{name}':", v)
+    return tuple(float(v) for v in entries)
 
 
-def _check_levels(name: str, levels: Sequence[float], minimum_count: int) -> tuple[float, ...]:
-    values = tuple(float(v) for v in levels)
+def _check_levels(name: str, levels: Iterable[float], minimum_count: int) -> tuple[float, ...]:
+    values = _check_numbers(name, levels)
     if len(values) < minimum_count:
         raise InvalidConfig(f"field '{name}': need at least {minimum_count} levels, got {len(values)}")
     if len(set(values)) != len(values):
         raise InvalidConfig(f"field '{name}': duplicate levels make the correlation degenerate")
-    if any(not math.isfinite(v) for v in values):
-        raise InvalidConfig(f"field '{name}': levels must be finite")
     return values
+
+
+def _load(cls, data: dict, prefix: str = ""):
+    """Build the dataclass ``cls`` from a JSON object.
+
+    Absent fields take the dataclass defaults and a ``demand`` object is
+    loaded the same way. Errors raised while building carry ``prefix``;
+    unknown fields are reported only once the rest is valid.
+    """
+    given = dict(data)
+    kwargs = {}
+    try:
+        for f in fields(cls):
+            if f.name in given:
+                value = given.pop(f.name)
+                kwargs[f.name] = _demand_from_dict(value) if f.name == "demand" else value
+            elif f.default is MISSING:
+                raise InvalidConfig(f"field '{f.name}': missing")
+        cfg = cls(**kwargs)
+    except InvalidConfig as exc:
+        if not prefix:
+            raise
+        raise InvalidConfig(f"{prefix}{exc}") from None
+    if given:
+        raise InvalidConfig(f"unknown config fields: {sorted(given)!r}")
+    return cfg
+
+
+def _demand_from_dict(data) -> DemandGenConfig:
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"field 'demand': expected an object, got {type(data).__name__}")
+    # experiment runners replace the seed per series; 0 is a placeholder
+    return _load(DemandGenConfig, {"seed": 0, **data}, prefix="field 'demand': ")
 
 
 @dataclass(frozen=True)
@@ -101,8 +141,8 @@ class ReliabilityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count("series_count", self.series_count, 2)
-        _check_count("forecasts_per_series", self.forecasts_per_series, 2)
+        _check_int("field 'series_count':", self.series_count, 2)
+        _check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
         levels = _check_levels("variance_levels", self.variance_levels, 2)
         if any(v < 0 for v in levels):
             raise InvalidConfig("field 'variance_levels': sigma values must be >= 0")
@@ -114,22 +154,7 @@ class ReliabilityConfig:
             )
         _check_finite("field 'error_mu':", self.error_mu)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReliabilityConfig":
-        fields = dict(data)
-        demand = _demand_from_dict(_take(fields, "demand", required=True))
-        cfg = cls(
-            demand=demand,
-            variance_levels=tuple(_take(fields, "variance_levels", required=True)),
-            series_count=_take(fields, "series_count", default=200),
-            forecasts_per_series=_take(fields, "forecasts_per_series", default=50),
-            metrics=tuple(_take(fields, "metrics", default=list(DEFAULT_METRICS))),
-            error_directions=_take(fields, "error_directions", default="both"),
-            error_mu=_take(fields, "error_mu", default=0.0),
-            seed=_take(fields, "seed", default=0),
-        )
-        _reject_unknown(fields)
-        return cfg
+    from_dict = classmethod(_load)
 
 
 @dataclass(frozen=True)
@@ -152,26 +177,11 @@ class ValidityConfig:
             )
         object.__setattr__(self, "mu_levels", _check_levels("mu_levels", self.mu_levels, 3))
         _check_sigma("field 'sigma':", self.sigma)
-        _check_count("series_count", self.series_count, 2)
-        _check_count("forecasts_per_series", self.forecasts_per_series, 2)
+        _check_int("field 'series_count':", self.series_count, 2)
+        _check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
         object.__setattr__(self, "metrics", _check_metrics(self.metrics))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ValidityConfig":
-        fields = dict(data)
-        demand = _demand_from_dict(_take(fields, "demand", required=True))
-        cfg = cls(
-            demand=demand,
-            direction=_take(fields, "direction", required=True),
-            mu_levels=tuple(_take(fields, "mu_levels", required=True)),
-            sigma=_take(fields, "sigma", required=True),
-            series_count=_take(fields, "series_count", default=200),
-            forecasts_per_series=_take(fields, "forecasts_per_series", default=50),
-            metrics=tuple(_take(fields, "metrics", default=list(DEFAULT_METRICS))),
-            seed=_take(fields, "seed", default=0),
-        )
-        _reject_unknown(fields)
-        return cfg
+    from_dict = classmethod(_load)
 
 
 @dataclass(frozen=True)
@@ -185,64 +195,18 @@ class SegmentReliabilityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        mus = tuple(float(v) for v in self.magnitude_mus)
+        mus = _check_numbers("magnitude_mus", self.magnitude_mus)
         if len(mus) < 2:
             raise InvalidConfig("field 'magnitude_mus': need at least 2 series")
         object.__setattr__(self, "magnitude_mus", mus)
-        _check_count("window", self.window, 2)
-        _check_count("segments_per_series", self.segments_per_series, 2)
+        _check_int("field 'window':", self.window, 2)
+        _check_int("field 'segments_per_series':", self.segments_per_series, 2)
         if self.window > self.demand.n:
             raise InvalidConfig(
                 f"field 'window': {self.window} exceeds the demand horizon {self.demand.n}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SegmentReliabilityConfig":
-        fields = dict(data)
-        demand = _demand_from_dict(_take(fields, "demand", required=True))
-        cfg = cls(
-            demand=demand,
-            magnitude_mus=tuple(_take(fields, "magnitude_mus", required=True)),
-            window=_take(fields, "window", required=True),
-            segments_per_series=_take(fields, "segments_per_series", default=20),
-            seed=_take(fields, "seed", default=0),
-        )
-        _reject_unknown(fields)
-        return cfg
-
-
-def _take(fields: dict, name: str, required: bool = False, default=None):
-    if name in fields:
-        return fields.pop(name)
-    if required:
-        raise InvalidConfig(f"field '{name}': missing")
-    return default
-
-
-def _reject_unknown(fields: dict) -> None:
-    if fields:
-        raise InvalidConfig(f"unknown config fields: {sorted(fields)!r}")
-
-
-def _demand_from_dict(data) -> DemandGenConfig:
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"field 'demand': expected an object, got {type(data).__name__}")
-    fields = dict(data)
-    try:
-        cfg = DemandGenConfig(
-            n=_take(fields, "n", required=True),
-            count_mu=_take(fields, "count_mu", required=True),
-            count_sigma=_take(fields, "count_sigma", required=True),
-            magnitude_mu=_take(fields, "magnitude_mu", required=True),
-            magnitude_sigma=_take(fields, "magnitude_sigma", required=True),
-            # experiment runners replace the seed per series; 0 is a placeholder
-            seed=_take(fields, "seed", default=0),
-            round_magnitudes=_take(fields, "round_magnitudes", default=False),
-        )
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"field 'demand': {exc}") from None
-    _reject_unknown(fields)
-    return cfg
+    from_dict = classmethod(_load)
 
 
 @dataclass(frozen=True)
@@ -255,18 +219,6 @@ class MetricOutcome:
     not_calculable: str | None = None
     per_level_mean: tuple[float, ...] | None = None
     per_level_variance: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "r": self.r,
-            "n": self.n,
-            "not_calculable": self.not_calculable,
-            "per_level_mean": list(self.per_level_mean) if self.per_level_mean is not None else None,
-            "per_level_variance": (
-                list(self.per_level_variance) if self.per_level_variance is not None else None
-            ),
-        }
 
 
 @dataclass(frozen=True)
@@ -283,24 +235,10 @@ class ExperimentReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        levene_block = None
+        payload = asdict(self)
         if self.levene is not None:
-            levene_block = {
-                "w": _json_float(self.levene.w),
-                "df1": self.levene.df1,
-                "df2": self.levene.df2,
-                "p": self.levene.p,
-            }
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "config": self.config,
-            "levels": list(self.levels),
-            "metrics": {name: outcome.to_dict() for name, outcome in self.metrics.items()},
-            "levene": levene_block,
-            "within_between_ratio": self.within_between_ratio,
-            "extras": self.extras,
-        }
+            payload["levene"]["w"] = _json_float(self.levene.w)
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -326,8 +264,62 @@ def _error_config(direction: str, mu: float, sigma: float, seed: int) -> ErrorIn
     )
 
 
-def _config_snapshot(config) -> dict:
-    return asdict(config)
+def _pair_stream(
+    config: ReliabilityConfig | ValidityConfig,
+    direction: str,
+    cells,
+    params: SpecParams,
+    bad: dict[str, int],
+    cost_params: SpecParams | None = None,
+):
+    """Score every forecast of every cell, one (series, level) block at a time.
+
+    ``cells`` yields ``(demand key, [(level index, mu, sigma, forecast key)])``:
+    the demand series is drawn from the seed at the demand key, and forecast
+    ``f`` of a block from the seed at ``forecast key + (f,)``. Each block is
+    yielded as ``(level index, {metric: values in forecast order}, costs)``,
+    where ``costs`` holds the warehouse cost of each forecast when
+    ``cost_params`` is given and is empty otherwise. Non-finite values stay
+    in the block and are counted per metric into ``bad``.
+    """
+    for demand_key, blocks in cells:
+        actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
+        for l_idx, mu, sigma, forecast_key in blocks:
+            values: dict[str, list[float]] = {m: [] for m in config.metrics}
+            costs: list[float] = []
+            for f_idx in range(config.forecasts_per_series):
+                err = _error_config(
+                    direction, mu, sigma, derive_seed(config.seed, *forecast_key, f_idx)
+                )
+                pair = EvaluationPair(actual, perturb_forecast(actual, err))
+                if cost_params is not None:
+                    costs.append(stock_cost(pair, cost_params))
+                for m in config.metrics:
+                    value = compute_metric(m, pair, params).as_float()
+                    values[m].append(value)
+                    if not math.isfinite(value):
+                        bad[m] += 1
+            yield l_idx, values, costs
+
+
+def _outcome(metric: str, bad: int, xs, ys, **per_level) -> MetricOutcome:
+    """Correlate ``xs`` with ``ys`` unless a value was non-finite or an input is constant."""
+    if bad:
+        return MetricOutcome(metric=metric, not_calculable=f"{bad} non-finite metric values")
+    try:
+        corr = pearson(xs, ys)
+    except DegenerateInput:
+        return MetricOutcome(metric=metric, not_calculable="degenerate correlation input", **per_level)
+    return MetricOutcome(metric=metric, r=corr.r, n=corr.n, **per_level)
+
+
+def _series_cells(config: ReliabilityConfig):
+    """Series-outer cells: demand key (0, s), forecast keys (1, s, l)."""
+    for s_idx in range(config.series_count):
+        yield (0, s_idx), [
+            (l_idx, config.error_mu, sigma, (1, s_idx, l_idx))
+            for l_idx, sigma in enumerate(config.variance_levels)
+        ]
 
 
 def run_reliability(
@@ -341,60 +333,21 @@ def run_reliability(
     per-level averages.
     """
     levels = config.variance_levels
+    bad = dict.fromkeys(config.metrics, 0)
+    block_variances = {m: [[] for _ in levels] for m in config.metrics}
+    for l_idx, values, _ in _pair_stream(
+        config, config.error_directions, _series_cells(config), params, bad
+    ):
+        for m, block in values.items():
+            block_variances[m][l_idx].append(variance(block))
+
     injected_variances = [s * s for s in levels]
-    per_metric_values: dict[str, list[list[float]]] = {
-        m: [[] for _ in levels] for m in config.metrics
-    }
-    bad_values: dict[str, int] = {m: 0 for m in config.metrics}
-
-    for s_idx in range(config.series_count):
-        actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, 0, s_idx)))
-        for l_idx, sigma in enumerate(levels):
-            forecast_values: dict[str, list[float]] = {m: [] for m in config.metrics}
-            for f_idx in range(config.forecasts_per_series):
-                err = _error_config(
-                    config.error_directions,
-                    config.error_mu,
-                    sigma,
-                    derive_seed(config.seed, 1, s_idx, l_idx, f_idx),
-                )
-                pair = EvaluationPair(actual, perturb_forecast(actual, err))
-                for m in config.metrics:
-                    value = compute_metric(m, pair, params).as_float()
-                    if math.isfinite(value):
-                        forecast_values[m].append(value)
-                    else:
-                        bad_values[m] += 1
-            for m in config.metrics:
-                values = forecast_values[m]
-                if len(values) == config.forecasts_per_series:
-                    per_metric_values[m][l_idx].append(variance(values))
-
-    outcomes: dict[str, MetricOutcome] = {}
+    outcomes = {}
     for m in config.metrics:
-        if bad_values[m]:
-            outcomes[m] = MetricOutcome(
-                metric=m,
-                not_calculable=f"{bad_values[m]} non-finite metric values",
-            )
-            continue
-        per_level = tuple(mean(group) for group in per_metric_values[m])
-        try:
-            corr = pearson(injected_variances, list(per_level))
-            outcomes[m] = MetricOutcome(metric=m, r=corr.r, n=corr.n, per_level_variance=per_level)
-        except DegenerateInput:
-            outcomes[m] = MetricOutcome(
-                metric=m,
-                not_calculable="degenerate correlation input",
-                per_level_variance=per_level,
-            )
-
+        per_level = tuple(mean(group) for group in block_variances[m])
+        outcomes[m] = _outcome(m, bad[m], injected_variances, per_level, per_level_variance=per_level)
     return ExperimentReport(
-        kind="reliability",
-        seed=config.seed,
-        config=_config_snapshot(config),
-        levels=levels,
-        metrics=outcomes,
+        kind="reliability", seed=config.seed, config=asdict(config), levels=levels, metrics=outcomes
     )
 
 
@@ -410,68 +363,32 @@ def run_validity(config: ValidityConfig, params: SpecParams = DEFAULT_PARAMS) ->
     dropped from some cells.
     """
     levels = config.mu_levels
-    per_level_values: dict[str, list[list[float]]] = {m: [[] for _ in levels] for m in config.metrics}
-    bad_values: dict[str, int] = {m: 0 for m in config.metrics}
+    cells = (
+        ((0, l_idx, s_idx), [(l_idx, mu, config.sigma, (1, l_idx, s_idx))])
+        for l_idx, mu in enumerate(levels)
+        for s_idx in range(config.series_count)
+    )
+    bad = dict.fromkeys(config.metrics, 0)
+    level_values = {m: [[] for _ in levels] for m in config.metrics}
+    for l_idx, values, _ in _pair_stream(config, config.direction, cells, params, bad):
+        for m, block in values.items():
+            level_values[m][l_idx].extend(block)
 
-    for l_idx, mu in enumerate(levels):
-        for s_idx in range(config.series_count):
-            actual = generate_demand(
-                replace(config.demand, seed=derive_seed(config.seed, 0, l_idx, s_idx))
-            )
-            for f_idx in range(config.forecasts_per_series):
-                err = _error_config(
-                    config.direction,
-                    mu,
-                    config.sigma,
-                    derive_seed(config.seed, 1, l_idx, s_idx, f_idx),
-                )
-                pair = EvaluationPair(actual, perturb_forecast(actual, err))
-                for m in config.metrics:
-                    value = compute_metric(m, pair, params).as_float()
-                    if math.isfinite(value):
-                        per_level_values[m][l_idx].append(value)
-                    else:
-                        bad_values[m] += 1
-
-    outcomes: dict[str, MetricOutcome] = {}
+    outcomes = {}
     for m in config.metrics:
         if config.direction == "horizontal" and m in PERCENTAGE_METRICS:
             outcomes[m] = MetricOutcome(
-                metric=m,
-                not_calculable="percentage-family metric under horizontal shift",
+                metric=m, not_calculable="percentage-family metric under horizontal shift"
             )
             continue
-        if bad_values[m]:
-            outcomes[m] = MetricOutcome(
-                metric=m,
-                not_calculable=f"{bad_values[m]} non-finite metric values",
-            )
-            continue
-        per_level_mean = tuple(mean(values) for values in per_level_values[m])
-        per_level_var = tuple(variance(values) for values in per_level_values[m])
-        try:
-            corr = pearson(list(levels), list(per_level_mean))
-            outcomes[m] = MetricOutcome(
-                metric=m,
-                r=corr.r,
-                n=corr.n,
-                per_level_mean=per_level_mean,
-                per_level_variance=per_level_var,
-            )
-        except DegenerateInput:
-            outcomes[m] = MetricOutcome(
-                metric=m,
-                not_calculable="degenerate correlation input",
-                per_level_mean=per_level_mean,
-                per_level_variance=per_level_var,
-            )
-
+        per_level_mean = tuple(mean(values) for values in level_values[m])
+        outcomes[m] = _outcome(
+            m, bad[m], levels, per_level_mean,
+            per_level_mean=per_level_mean,
+            per_level_variance=tuple(variance(values) for values in level_values[m]),
+        )
     return ExperimentReport(
-        kind="validity",
-        seed=config.seed,
-        config=_config_snapshot(config),
-        levels=levels,
-        metrics=outcomes,
+        kind="validity", seed=config.seed, config=asdict(config), levels=levels, metrics=outcomes
     )
 
 
@@ -492,7 +409,7 @@ def run_segment_reliability(
     """
     if len(series_set) < 2:
         raise InvalidConfig("need at least 2 series")
-    _check_count("segments_per_series", segments_per_series, 2)
+    _check_int("field 'segments_per_series':", segments_per_series, 2)
     groups: list[list[float]] = []
     for idx, series in enumerate(series_set):
         extracts = segment_extracts(series, window, segments_per_series, derive_seed(seed, 2, idx))
@@ -542,7 +459,7 @@ def run_segment_reliability_config(
     report = run_segment_reliability(
         series_set, config.window, config.segments_per_series, config.seed, params
     )
-    return replace(report, config=_config_snapshot(config))
+    return replace(report, config=asdict(config))
 
 
 def run_cost_validity(
@@ -558,54 +475,41 @@ def run_cost_validity(
     """
     if metric_params is None:
         metric_params = cost_params
+    bad = dict.fromkeys(config.metrics, 0)
     metric_values: dict[str, list[float]] = {m: [] for m in config.metrics}
-    bad_values: dict[str, int] = {m: 0 for m in config.metrics}
     costs: list[float] = []
-
-    for s_idx in range(config.series_count):
-        actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, 0, s_idx)))
-        for l_idx, sigma in enumerate(config.variance_levels):
-            for f_idx in range(config.forecasts_per_series):
-                err = _error_config(
-                    config.error_directions,
-                    config.error_mu,
-                    sigma,
-                    derive_seed(config.seed, 1, s_idx, l_idx, f_idx),
-                )
-                pair = EvaluationPair(actual, perturb_forecast(actual, err))
-                costs.append(stock_cost(pair, cost_params))
-                for m in config.metrics:
-                    value = compute_metric(m, pair, metric_params).as_float()
-                    if math.isfinite(value):
-                        metric_values[m].append(value)
-                    else:
-                        bad_values[m] += 1
-                        metric_values[m].append(math.nan)
-
-    outcomes: dict[str, MetricOutcome] = {}
-    for m in config.metrics:
-        if bad_values[m]:
-            outcomes[m] = MetricOutcome(
-                metric=m, not_calculable=f"{bad_values[m]} non-finite metric values"
-            )
-            continue
-        try:
-            corr = pearson(metric_values[m], costs)
-            outcomes[m] = MetricOutcome(metric=m, r=corr.r, n=corr.n)
-        except DegenerateInput:
-            outcomes[m] = MetricOutcome(metric=m, not_calculable="degenerate correlation input")
+    for _, values, block_costs in _pair_stream(
+        config, config.error_directions, _series_cells(config), metric_params, bad, cost_params
+    ):
+        costs.extend(block_costs)
+        for m, block in values.items():
+            metric_values[m].extend(block)
 
     return ExperimentReport(
         kind="cost-validity",
         seed=config.seed,
         config={
-            **_config_snapshot(config),
+            **asdict(config),
             "cost_alpha1": cost_params.alpha1,
             "cost_alpha2": cost_params.alpha2,
             "metric_alpha1": metric_params.alpha1,
             "metric_alpha2": metric_params.alpha2,
         },
         levels=config.variance_levels,
-        metrics=outcomes,
+        metrics={m: _outcome(m, bad[m], metric_values[m], costs) for m in config.metrics},
         extras={"cost_mean": mean(costs), "cost_variance": variance(costs)},
     )
+
+
+def _params_from_dict(data: dict, prefix: str) -> SpecParams | None:
+    """Pop ``<prefix>alpha1``/``<prefix>alpha2``; None when neither is given."""
+    given = {name: data.pop(prefix + name) for name in ("alpha1", "alpha2") if prefix + name in data}
+    return SpecParams(**given) if given else None
+
+
+def _cost_validity_from_dict(data: dict) -> tuple[ReliabilityConfig, SpecParams, SpecParams | None]:
+    """A reliability config plus optional ``cost_alpha*`` and ``metric_alpha*`` weights."""
+    fields_left = dict(data)
+    cost_params = _params_from_dict(fields_left, "cost_") or DEFAULT_PARAMS
+    metric_params = _params_from_dict(fields_left, "metric_")
+    return ReliabilityConfig.from_dict(fields_left), cost_params, metric_params

@@ -28,6 +28,11 @@ def _check_finite(name: str, value: float) -> None:
         raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
 
 
+def _check_int(name: str, value: int, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_sigma(name: str, value: float) -> None:
     _check_finite(name, value)
     if value < 0:
@@ -60,8 +65,7 @@ class DemandGenConfig:
     round_magnitudes: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidConfig(f"n must be a positive integer, got {self.n!r}")
+        _check_int("n", self.n, 1)
         _check_finite("count_mu", self.count_mu)
         _check_sigma("count_sigma", self.count_sigma)
         _check_finite("magnitude_mu", self.magnitude_mu)
@@ -152,10 +156,8 @@ def segment_extracts(
     Start offsets are uniform over the valid range; identical seeds give
     identical extracts.
     """
-    if not isinstance(window, int) or window < 1:
-        raise InvalidConfig(f"window must be a positive integer, got {window!r}")
-    if not isinstance(count, int) or count < 1:
-        raise InvalidConfig(f"count must be a positive integer, got {count!r}")
+    _check_int("window", window, 1)
+    _check_int("count", count, 1)
     _check_seed("seed", seed)
     n = series.n
     if window > n:

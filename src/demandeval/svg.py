@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .spec import AlphaSweepPoint, CostBreakdown
 
 _WIDTH = 640
@@ -46,23 +48,32 @@ def _axes(x_label: str, y_label: str, y_max: float) -> list[str]:
 
 
 def render_decomposition_svg(breakdown: CostBreakdown, title: str = "Cost per time step") -> str:
-    """Bar chart of per-step costs; one <g> group per time step."""
+    """Bar chart of per-step costs; one <g> group per time step.
+
+    When there are more steps than pixel columns in the plot, consecutive
+    steps are summed into one bar per column. Each group carries its steps
+    (``data-t``, a range when binned) and the opportunity and stock cost it
+    draws (``data-opportunity``, ``data-stock``).
+    """
     n = breakdown.n
-    heights = [
-        breakdown.opportunity_at(t) + breakdown.stock_at(t) for t in range(1, n + 1)
-    ]
-    y_max = max(max(heights), 1e-12)
     plot_w = _WIDTH - 2 * _MARGIN
     plot_h = _HEIGHT - 2 * _MARGIN
-    slot = plot_w / n
+    bins = min(n, plot_w)
+    edges = np.arange(bins + 1) * n // bins
+    opps = np.add.reduceat(breakdown.per_t_opportunity, edges[:-1])
+    stocks = np.add.reduceat(breakdown.per_t_stock, edges[:-1])
+    y_max = max(float((opps + stocks).max()), 1e-12)
+    slot = plot_w / bins
     bar_w = max(slot * 0.7, 1.0)
 
     body = _axes("time step t", "cost", y_max)
-    for t in range(1, n + 1):
-        x = _MARGIN + (t - 1) * slot + (slot - bar_w) / 2
-        opp = breakdown.opportunity_at(t)
-        stock = breakdown.stock_at(t)
-        parts = [f'<g data-t="{t}">']
+    for b in range(bins):
+        first, last = int(edges[b]) + 1, int(edges[b + 1])
+        steps = str(last) if first == last else f"{first}-{last}"
+        x = _MARGIN + b * slot + (slot - bar_w) / 2
+        opp = float(opps[b])
+        stock = float(stocks[b])
+        parts = [f'<g data-t="{steps}" data-opportunity="{opp!r}" data-stock="{stock!r}">']
         base = _HEIGHT - _MARGIN
         for amount, color in ((stock, _STOCK_COLOR), (opp, _OPP_COLOR)):
             if amount > 0:
@@ -74,10 +85,10 @@ def render_decomposition_svg(breakdown: CostBreakdown, title: str = "Cost per ti
                 base -= h
         parts.append("</g>")
         body.append("".join(parts))
-        if n <= 20 or t % max(1, n // 10) == 0:
+        if bins <= 20 or (b + 1) % max(1, bins // 10) == 0:
             body.append(
                 f'<text x="{x + bar_w / 2:.2f}" y="{_HEIGHT - _MARGIN + 14}" '
-                f'text-anchor="middle" font-size="10">{t}</text>'
+                f'text-anchor="middle" font-size="10">{last}</text>'
             )
     body.append(
         f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN - 20}" text-anchor="end" font-size="11" '

@@ -8,8 +8,10 @@ fixtures and their wall times feed the overall runtime budget check.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import platform
 import time
 
 import numpy as np
@@ -285,3 +287,38 @@ def test_c12_performance(horizontal_report, vertical_report, reliability_report,
     suite_time = sum(TIMINGS.values())
     assert suite_time < 300.0
     _passed(12, f"performance (n=100k score {elapsed:.2f}s; suite {suite_time:.0f}s)")
+
+
+#: SHA-256 of ``report.to_json()`` for each shipped experiment config. Floats
+#: are reproducible only within one installation, so the pins hold for the
+#: interpreter/numpy pair below and the check is skipped on any other.
+GOLDEN_INSTALLATION = ("3.11.7", "2.4.6")
+GOLDEN_REPORTS = {
+    "reliability": "8d8b79ba093a63cc431395b99541a8a97a0349846ba43c1354d84ad199024f7f",
+    "validity_horizontal": "0984c376c72e79db826f69f64b5efd786555e9db4b0fd39ce67e1c7e673580fb",
+    "validity_vertical": "217991d258362d7a5c07a14e606c3c2d30c2cf8b0f9287ec1fc97c6ed008a6af",
+    "segment_reliability": "408912d0fca0478c294768dc56fad751bfe38b3f2a9bfc0a5b2e82e92b9ea93c",
+    "cost_validity": "0fb6ce36e1d28af2b4bd336404d0969263836bf411a8a6498d65cafea4a80782",
+}
+
+
+def test_golden_report_digests(horizontal_report, vertical_report, reliability_report,
+                               segment_report, cost_report):
+    installation = (platform.python_version(), np.__version__)
+    if installation != GOLDEN_INSTALLATION:
+        pytest.skip(
+            f"report digests are pinned for Python/numpy {GOLDEN_INSTALLATION}, "
+            f"this is {installation}; floats are reproducible only within an installation"
+        )
+    reports = {
+        "reliability": reliability_report,
+        "validity_horizontal": horizontal_report,
+        "validity_vertical": vertical_report,
+        "segment_reliability": segment_report,
+        "cost_validity": cost_report,
+    }
+    digests = {
+        name: hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        for name, report in reports.items()
+    }
+    assert digests == GOLDEN_REPORTS

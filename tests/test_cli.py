@@ -245,6 +245,34 @@ class TestExperimentCommand:
         assert code == 2
         assert "variance_levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [[True, 2.0], ["2.5", 1.0], ["x", 2]])
+    def test_non_numeric_level_exit_2(self, tmp_path, capsys, levels):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                       "magnitude_mu": 10.0, "magnitude_sigma": 2.0},
+            "variance_levels": levels, "seed": 3,
+        })
+        code = run_cli("experiment", "reliability", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "variance_levels" in capsys.readouterr().err
+
+    def test_cost_validity_reads_both_weightings(self, tmp_path):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                       "magnitude_mu": 10.0, "magnitude_sigma": 2.0},
+            "variance_levels": [0.5, 1.5], "series_count": 4,
+            "forecasts_per_series": 3, "metrics": ["spec"], "seed": 3,
+            "cost_alpha1": 0.6, "cost_alpha2": 0.4, "metric_alpha2": 0.5,
+        })
+        out = tmp_path / "report.json"
+        assert run_cli("experiment", "cost-validity", "--config", str(cfg), "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["kind"] == "cost-validity"
+        assert (payload["config"]["cost_alpha1"], payload["config"]["cost_alpha2"]) == (0.6, 0.4)
+        assert (payload["config"]["metric_alpha1"], payload["config"]["metric_alpha2"]) == (0.75, 0.5)
+        assert payload["manifest"]["command"] == "experiment cost-validity"
+
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -4,6 +4,8 @@ Full desk-scale threshold checks live in test_acceptance.py; these tests use
 reduced counts so the whole module stays fast.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from demandeval import (
@@ -87,6 +89,24 @@ class TestConfigValidation:
     def test_bool_is_not_a_number(self, make, field):
         with pytest.raises(InvalidConfig, match=field):
             make(**{field: True})
+
+    @pytest.mark.parametrize("levels", [(True, 2.0), ("2.5", 1.0), ("x", 2)])
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (small_reliability, "variance_levels"),
+            (small_validity, "mu_levels"),
+            (lambda **kw: SegmentReliabilityConfig(demand=DEMAND, window=24, **kw),
+             "magnitude_mus"),
+        ],
+    )
+    def test_level_entries_must_be_numbers(self, make, field, levels):
+        with pytest.raises(InvalidConfig, match=field):
+            make(**{field: levels})
+
+    def test_levels_must_be_a_list(self):
+        with pytest.raises(InvalidConfig, match="variance_levels"):
+            small_reliability(variance_levels=5)
 
     def test_from_dict_unknown_field(self):
         data = {
@@ -206,3 +226,42 @@ class TestCostValidity:
         a = run_cost_validity(config, SpecParams(0.75, 0.25))
         b = run_cost_validity(config, SpecParams(0.75, 0.25))
         assert a.to_json() == b.to_json()
+
+
+class TestSharedOutcomes:
+    """Every runner triages its metrics the same way."""
+
+    def test_non_finite_values_make_a_metric_not_calculable(self):
+        config = small_reliability(metrics=("mape", "spec"), error_directions="horizontal",
+                                   error_mu=1.0)
+        reports = [
+            run_reliability(config),
+            run_cost_validity(config),
+            # an all-zero series leaves every percentage term undefined
+            run_validity(small_validity(metrics=("mape", "spec"),
+                                        demand=replace(DEMAND, count_mu=0.5))),
+        ]
+        for report in reports:
+            outcome = report.metrics["mape"]
+            count, _, reason = outcome.not_calculable.partition(" ")
+            assert reason == "non-finite metric values"
+            assert int(count) > 0
+            assert outcome.r is None and outcome.per_level_mean is None
+            assert outcome.per_level_variance is None
+            assert report.metrics["spec"].r is not None
+        # reliability and cost-validity score the very same pairs
+        assert reports[0].metrics["mape"] == reports[1].metrics["mape"]
+
+    def test_constant_score_is_degenerate(self):
+        # the median absolute error of a sparse series is 0 for every forecast
+        reports = [
+            run_reliability(small_reliability(metrics=("mdae",))),
+            run_cost_validity(small_reliability(metrics=("mdae",))),
+            run_validity(small_validity(metrics=("mdae",))),
+        ]
+        for report in reports:
+            outcome = report.metrics["mdae"]
+            assert outcome.not_calculable == "degenerate correlation input"
+            assert outcome.r is None
+        assert reports[0].metrics["mdae"].per_level_variance == (0.0, 0.0, 0.0)
+        assert reports[2].metrics["mdae"].per_level_mean == (0.0, 0.0, 0.0)

@@ -186,3 +186,8 @@ class TestSegmentExtracts:
     def test_window_too_large(self):
         with pytest.raises(WindowTooLarge):
             segment_extracts(DemandSeries([1, 2]), window=3, count=1, seed=0)
+
+    @pytest.mark.parametrize("window,count", [(True, 2), (2, True), (True, True), (2.0, 2)])
+    def test_window_and_count_must_be_integers(self, window, count):
+        with pytest.raises(InvalidConfig):
+            segment_extracts(DemandSeries([1, 2, 3]), window, count, 0)

@@ -1,8 +1,12 @@
 """Emitted SVG must be well-formed and structurally predictable."""
 
+import math
 import xml.etree.ElementTree as ET
 
-from demandeval import spec_alpha_sweep, spec_decompose
+import numpy as np
+import pytest
+
+from demandeval import EvaluationPair, spec_alpha_sweep, spec_decompose
 from demandeval.svg import render_decomposition_svg, render_sweep_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -16,6 +20,23 @@ def test_decomposition_chart_one_group_per_step(model_b_pair):
     assert len(groups) == model_b_pair.n
     charged = [g for g in groups if len(g.findall(f"{SVG_NS}rect")) > 0]
     assert len(charged) == 7  # t = 8..14 carry cost
+
+
+def test_long_decomposition_chart_bins_steps_per_pixel():
+    rng = np.random.default_rng(7)
+    n = 100_000
+    actual = rng.uniform(0, 20, n) * (rng.random(n) < 0.1)
+    forecast = rng.uniform(0, 20, n) * (rng.random(n) < 0.1)
+    breakdown = spec_decompose(EvaluationPair.from_values(actual, forecast))
+    groups = ET.fromstring(render_decomposition_svg(breakdown)).findall(f"{SVG_NS}g")
+    assert len(groups) <= 640 - 2 * 48
+    assert groups[0].get("data-t").startswith("1-")
+    assert groups[-1].get("data-t").endswith(f"-{n}")
+    drawn_opp = math.fsum(float(g.get("data-opportunity")) for g in groups)
+    drawn_stock = math.fsum(float(g.get("data-stock")) for g in groups)
+    params = breakdown.params
+    assert drawn_opp == pytest.approx(params.alpha1 * breakdown.opp_unit_periods, rel=1e-9)
+    assert drawn_stock == pytest.approx(params.alpha2 * breakdown.stock_unit_periods, rel=1e-9)
 
 
 def test_decomposition_chart_all_zero(model_a_pair):
