@@ -13,15 +13,16 @@ reproduce its outputs exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import secrets
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .csvio import (
     RunManifest,
     decomposition_to_csv,
+    dump_json,
     parse_pair_csv,
     read_json_config,
     report_to_csv,
@@ -30,12 +31,13 @@ from .csvio import (
     sweep_to_csv,
     write_pair_csv,
 )
-from .errors import DemandEvalError
+from .errors import DemandEvalError, InvalidConfig
 from .experiments import (
     ReliabilityConfig,
     SegmentReliabilityConfig,
     ValidityConfig,
     _cost_validity_from_dict,
+    _load,
     run_cost_validity,
     run_reliability,
     run_segment_reliability_config,
@@ -117,9 +119,16 @@ def _manifest(command: str, config: dict, seeds: dict, outputs) -> RunManifest:
     )
 
 
-def _write_sibling_manifest(manifest: RunManifest, out_path: Path) -> None:
+def _write_table_and_chart(args: argparse.Namespace, config: dict, table: str, chart) -> None:
+    """Write ``table`` to ``--out``, ``chart()`` to ``--svg`` if given, then a sibling manifest."""
+    out_path = Path(args.out)
+    out_path.write_text(table, encoding="utf-8")
+    outputs = [out_path]
+    if args.svg:
+        Path(args.svg).write_text(chart(), encoding="utf-8")
+        outputs.append(Path(args.svg))
     out_path.with_suffix(out_path.suffix + ".manifest.json").write_text(
-        manifest.to_json(), encoding="utf-8"
+        _manifest(args.command, config, {}, outputs).to_json(), encoding="utf-8"
     )
 
 
@@ -129,9 +138,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     metrics = None
     if args.metrics:
         metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-        unknown = [m for m in metrics if m not in METRIC_NAMES]
-        if unknown:
-            raise DemandEvalError(f"unknown metrics: {', '.join(unknown)}")
     report = compute_all(pair, params, metrics)
     if args.format == "table":
         sys.stdout.write(report_to_table(report))
@@ -153,19 +159,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     pair = parse_pair_csv(args.input)
     params = _params(args)
     breakdown = spec_decompose(pair, params)
-    out_path = Path(args.out)
-    out_path.write_text(decomposition_to_csv(breakdown), encoding="utf-8")
-    outputs = [out_path]
-    if args.svg:
-        Path(args.svg).write_text(render_decomposition_svg(breakdown), encoding="utf-8")
-        outputs.append(Path(args.svg))
-    manifest = _manifest(
-        "decompose",
+    _write_table_and_chart(
+        args,
         {"input": args.input, "alpha1": params.alpha1, "alpha2": params.alpha2},
-        {},
-        outputs,
+        decomposition_to_csv(breakdown),
+        lambda: render_decomposition_svg(breakdown),
     )
-    _write_sibling_manifest(manifest, out_path)
     return 0
 
 
@@ -176,81 +175,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if label in curves:
             label = f"{label}_{len(curves)}"
         curves[label] = spec_alpha_sweep(parse_pair_csv(path), args.grid_size)
-    out_path = Path(args.out)
-    out_path.write_text(sweep_to_csv(curves), encoding="utf-8")
-    outputs = [out_path]
-    if args.svg:
-        Path(args.svg).write_text(render_sweep_svg(curves), encoding="utf-8")
-        outputs.append(Path(args.svg))
-    manifest = _manifest(
-        "sweep",
+    _write_table_and_chart(
+        args,
         {"inputs": list(args.input), "grid_size": args.grid_size},
-        {},
-        outputs,
+        sweep_to_csv(curves),
+        lambda: render_sweep_svg(curves),
     )
-    _write_sibling_manifest(manifest, out_path)
     return 0
-
-
-def _simulate_configs(data: dict) -> tuple[DemandGenConfig, ErrorInjectionConfig, dict]:
-    """Build generator configs from the simulate JSON, drawing absent seeds."""
-    fields = dict(data)
-    error_fields = dict(fields.pop("error", {}))
-    seeds_drawn: dict = {}
-
-    if "seed" not in fields:
-        fields["seed"] = secrets.randbits(63)
-        seeds_drawn["demand_seed_source"] = "entropy"
-    if "seed" not in error_fields:
-        error_fields["seed"] = secrets.randbits(63)
-        seeds_drawn["error_seed_source"] = "entropy"
-
-    try:
-        demand = DemandGenConfig(**fields)
-    except TypeError as exc:
-        raise DemandEvalError(f"demand config: {exc}") from None
-    try:
-        error = ErrorInjectionConfig(**error_fields)
-    except TypeError as exc:
-        raise DemandEvalError(f"error config: {exc}") from None
-    return demand, error, seeds_drawn
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = read_json_config(args.config)
-    demand_cfg, error_cfg, seed_notes = _simulate_configs(data)
+    error = data.pop("error", {})
+    if not isinstance(error, dict):
+        raise InvalidConfig(f"field 'error': expected an object, got {type(error).__name__}")
+    configs, settings, seeds = {}, {}, {}
+    for name, cls, fields, prefix in (
+        ("demand", DemandGenConfig, data, ""),
+        ("error", ErrorInjectionConfig, error, "field 'error': "),
+    ):
+        if "seed" not in fields:
+            fields = {**fields, "seed": secrets.randbits(63)}
+            seeds[f"{name}_seed_source"] = "entropy"
+        configs[name] = cfg = _load(cls, fields, prefix)
+        settings[name] = {key: value for key, value in asdict(cfg).items() if key != "seed"}
+        seeds[f"{name}_seed"] = cfg.seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    actual = generate_demand(demand_cfg)
-    forecast = perturb_forecast(actual, error_cfg)
+    actual = generate_demand(configs["demand"])
+    forecast = perturb_forecast(actual, configs["error"])
     pair = EvaluationPair(actual, forecast)
 
     pair_path = out_dir / "pair.csv"
     write_pair_csv(pair, pair_path)
-
-    manifest = _manifest(
-        "simulate",
-        {
-            "demand": {
-                "n": demand_cfg.n,
-                "count_mu": demand_cfg.count_mu,
-                "count_sigma": demand_cfg.count_sigma,
-                "magnitude_mu": demand_cfg.magnitude_mu,
-                "magnitude_sigma": demand_cfg.magnitude_sigma,
-                "round_magnitudes": demand_cfg.round_magnitudes,
-            },
-            "error": {
-                "vertical_mu": error_cfg.vertical_mu,
-                "vertical_sigma": error_cfg.vertical_sigma,
-                "horizontal_mu": error_cfg.horizontal_mu,
-                "horizontal_sigma": error_cfg.horizontal_sigma,
-            },
-        },
-        {"demand_seed": demand_cfg.seed, "error_seed": error_cfg.seed, **seed_notes},
-        [pair_path],
+    (out_dir / "manifest.json").write_text(
+        _manifest("simulate", settings, seeds, [pair_path]).to_json(), encoding="utf-8"
     )
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return 0
 
 
@@ -271,7 +232,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         f"experiment {args.kind}", {"config_file": args.config}, {"seed": report.seed},
         [out_path],
     ).to_dict()
-    out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    out_path.write_text(dump_json(payload), encoding="utf-8")
     return 0
 
 

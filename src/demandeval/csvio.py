@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO
 
@@ -49,18 +49,23 @@ def render_value(value: ExtendedValue, digits: int | None = None) -> str:
 
 def value_to_json(value: ExtendedValue):
     """JSON form: a number rounded to report precision, or 'inf'/'undef'."""
-    if value.kind == "positive_infinity":
-        return INF_TEXT
-    if value.kind == "undefined":
-        return UNDEF_TEXT
-    return float(format_number(value.value))
+    text = render_value(value)
+    return float(text) if value.is_finite else text
+
+
+def dump_json(payload) -> str:
+    """The JSON text of every report and manifest: sorted keys, 2-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def parse_pair_csv(source: str | Path | IO[str]) -> EvaluationPair:
     """Read an (actual, forecast) pair from a CSV file, path or text stream."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _parse_pair_stream(handle)
+            try:
+                return _parse_pair_stream(handle)
+            except UnicodeDecodeError as exc:
+                raise MalformedRow(f"{source}: not UTF-8 text ({exc})") from None
     return _parse_pair_stream(source)
 
 
@@ -116,12 +121,6 @@ def _write_pair_stream(pair: EvaluationPair, stream: IO[str]) -> None:
         writer.writerow([t, repr(float(a)), repr(float(f))])
 
 
-def pair_csv_text(pair: EvaluationPair) -> str:
-    buffer = io.StringIO()
-    _write_pair_stream(pair, buffer)
-    return buffer.getvalue()
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one command bit for bit."""
@@ -133,16 +132,10 @@ class RunManifest:
     outputs: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "outputs": list(self.outputs),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(self.to_dict())
 
 
 def report_to_dict(report: MetricReport, manifest: RunManifest | None = None) -> dict:
@@ -157,7 +150,7 @@ def report_to_dict(report: MetricReport, manifest: RunManifest | None = None) ->
 
 
 def report_to_json(report: MetricReport, manifest: RunManifest | None = None) -> str:
-    return json.dumps(report_to_dict(report, manifest), sort_keys=True, indent=2) + "\n"
+    return dump_json(report_to_dict(report, manifest))
 
 
 def report_to_csv(report: MetricReport) -> str:
@@ -212,8 +205,8 @@ def read_json_config(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(f"{path}: not valid JSON ({exc})") from None
+        except ValueError as exc:  # bad syntax, bad UTF-8, over-long integer
+            raise MalformedRow(f"{path}: not valid UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
         raise MalformedRow(f"{path}: top-level JSON value must be an object")
     return data

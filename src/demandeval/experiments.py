@@ -15,13 +15,13 @@ the tolerances the test suite asserts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import dump_json
 from .errors import DegenerateInput, InvalidConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .series import DemandSeries, EvaluationPair
@@ -116,13 +116,15 @@ def _load(cls, data: dict, prefix: str = ""):
             raise
         raise InvalidConfig(f"{prefix}{exc}") from None
     if given:
-        raise InvalidConfig(f"unknown config fields: {sorted(given)!r}")
+        raise InvalidConfig(f"{prefix}unknown config fields: {sorted(given)!r}")
     return cfg
 
 
 def _demand_from_dict(data) -> DemandGenConfig:
     if not isinstance(data, dict):
         raise InvalidConfig(f"field 'demand': expected an object, got {type(data).__name__}")
+    if "seed" in data:
+        raise InvalidConfig("field 'demand': 'seed' is not used; series seeds derive from 'seed'")
     # experiment runners replace the seed per series; 0 is a placeholder
     return _load(DemandGenConfig, {"seed": 0, **data}, prefix="field 'demand': ")
 
@@ -241,7 +243,7 @@ class ExperimentReport:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(self.to_dict())
 
 
 def _json_float(x: float):

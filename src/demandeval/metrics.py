@@ -230,5 +230,7 @@ def compute_all(
 ) -> MetricReport:
     """Evaluate the requested metrics (default: all) for one pair."""
     names = METRIC_NAMES if metrics is None else tuple(metrics)
+    if not names:
+        raise InvalidParams("no metrics selected")
     entries = {name: compute_metric(name, pair, params) for name in names}
     return MetricReport(entries=entries, params=params)

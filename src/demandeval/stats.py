@@ -74,15 +74,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(r=r, n=n)
 
 
-def levene(groups: Sequence[Sequence[float]], center: str = "mean") -> LeveneResult:
-    """Levene's test for equal variances across groups.
+def levene(groups: Sequence[Sequence[float]]) -> LeveneResult:
+    """Levene's test for equal variances across groups (mean-centered).
 
-    Defaults to the classic mean-centered statistic; ``center="median"``
-    selects the Brown-Forsythe variant. The p-value is the upper tail of
-    F(k-1, N-k) at the observed statistic.
+    The p-value is the upper tail of F(k-1, N-k) at the observed statistic.
     """
-    if center not in ("mean", "median"):
-        raise StatsError(f"center must be 'mean' or 'median', got {center!r}")
     k = len(groups)
     if k < 2:
         raise TooFewGroups(f"need at least 2 groups, got {k}")
@@ -91,10 +87,7 @@ def levene(groups: Sequence[Sequence[float]], center: str = "mean") -> LeveneRes
         raise GroupTooSmall("every group needs at least 2 observations")
     total = sum(sizes)
 
-    if center == "mean":
-        centers = [math.fsum(g) / len(g) for g in groups]
-    else:
-        centers = [_median(g) for g in groups]
+    centers = [math.fsum(g) / len(g) for g in groups]
     z = [[abs(x - c) for x in g] for g, c in zip(groups, centers)]
     z_group_means = [math.fsum(zj) / len(zj) for zj in z]
     z_grand_mean = math.fsum(math.fsum(zj) for zj in z) / total
@@ -115,15 +108,6 @@ def levene(groups: Sequence[Sequence[float]], center: str = "mean") -> LeveneRes
         return LeveneResult(w=math.inf, df1=df1, df2=df2, p=0.0)
     w = (df2 / df1) * (between / within)
     return LeveneResult(w=w, df1=df1, df2=df2, p=f_sf(w, df1, df2))
-
-
-def _median(xs: Sequence[float]) -> float:
-    s = sorted(xs)
-    n = len(s)
-    mid = n // 2
-    if n % 2:
-        return s[mid]
-    return 0.5 * (s[mid - 1] + s[mid])
 
 
 def f_sf(x: float, d1: int, d2: int) -> float:

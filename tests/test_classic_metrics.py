@@ -7,6 +7,7 @@ import pytest
 from demandeval import (
     DemandEvalError,
     EvaluationPair,
+    InvalidParams,
     MetricReport,
     compute_all,
     mae,
@@ -169,3 +170,7 @@ class TestComputeAll:
     def test_unknown_metric(self, model_a_pair):
         with pytest.raises(DemandEvalError):
             compute_all(model_a_pair, metrics=("mae", "nope"))
+
+    def test_empty_selection(self, model_a_pair):
+        with pytest.raises(InvalidParams, match="no metrics"):
+            compute_all(model_a_pair, metrics=())

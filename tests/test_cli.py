@@ -67,6 +67,20 @@ class TestScore:
         bad.write_text("t,actual,forecast\n")
         assert run_cli("score", "--input", str(bad)) == 2
 
+    def test_non_utf8_csv_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,actual,forecast\n1,1,\xff\n")
+        assert run_cli("score", "--input", str(bad)) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selection,named", [(",", "no metrics"), ("mae,nope", "nope")])
+    def test_bad_metric_selection_exit_2(self, model_a_csv, capsys, selection, named):
+        for fmt in ("table", "json"):
+            assert run_cli("score", "--input", model_a_csv, "--metrics", selection,
+                           "--format", fmt) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and named in captured.err
+
 
 class TestDecompose:
     def test_perfect_forecast_all_zero_rows(self, tmp_path):
@@ -89,7 +103,7 @@ class TestDecompose:
         assert root.tag.endswith("svg")
         manifest = json.loads((tmp_path / "steps.csv.manifest.json").read_text())
         assert manifest["command"] == "decompose"
-        assert str(out) in manifest["outputs"]
+        assert manifest["outputs"] == [str(out), str(svg)]
 
 
 class TestSweep:
@@ -116,6 +130,20 @@ class TestSweep:
         run_cli("sweep", "--input", model_a_csv, "--grid-size", "3", "--out", str(out))
         last = out.read_text().strip().splitlines()[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[2]) == 0.0
+
+    @pytest.mark.parametrize("with_svg", [False, True])
+    def test_manifest_lists_every_output(self, model_a_csv, tmp_path, with_svg):
+        out = tmp_path / "sweep.csv"
+        svg = tmp_path / "sweep.svg"
+        argv = ["sweep", "--input", model_a_csv, "--grid-size", "5", "--out", str(out)]
+        if with_svg:
+            argv += ["--svg", str(svg)]
+        assert run_cli(*argv) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["command"] == "sweep"
+        assert manifest["config"] == {"inputs": [model_a_csv], "grid_size": 5}
+        assert manifest["outputs"] == ([str(out), str(svg)] if with_svg else [str(out)])
+        assert svg.exists() == with_svg
 
     def test_grid_size_one_rejected(self, model_a_csv, tmp_path, capsys):
         code = run_cli(
@@ -171,6 +199,47 @@ class TestSimulate:
         out = tmp_path / "run"
         run_cli("simulate", "--config", str(cfg), "--out-dir", str(out))
         assert run_cli("score", "--input", str(out / "pair.csv")) == 0
+
+    def test_manifest_records_settings_and_seeds(self, tmp_path):
+        cfg = self._config(tmp_path)
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "demand": {"n": 40, "count_mu": 5.0, "count_sigma": 1.0, "magnitude_mu": 10.0,
+                       "magnitude_sigma": 2.0, "round_magnitudes": False},
+            "error": {"vertical_mu": 0.0, "vertical_sigma": 1.0,
+                      "horizontal_mu": 0.0, "horizontal_sigma": 1.0},
+        }
+        assert manifest["seeds"] == {"demand_seed": 11, "error_seed": 9}
+        assert manifest["outputs"] == [str(out / "pair.csv")]
+
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"error": "x"}, "field 'error'"),
+            ({"error": {"vertical_sigma": -1.0}}, "field 'error': vertical_sigma"),
+            ({"error": {"bogus": 1}}, "field 'error': unknown config fields: ['bogus']"),
+            ({"bogus": 1}, "unknown config fields: ['bogus']"),
+            ({"n": None}, "field 'n': missing"),
+        ],
+    )
+    def test_bad_config_exit_2(self, tmp_path, capsys, change, named):
+        # a None in ``change`` drops that field
+        cfg = {**json.loads(self._config(tmp_path).read_text()), **change}
+        cfg = {key: value for key, value in cfg.items() if value is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(path), "--out-dir", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": "\xff"}')
+        assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
 
 def test_decompose_and_sweep_scale_to_long_series(tmp_path):
@@ -272,6 +341,17 @@ class TestExperimentCommand:
         assert (payload["config"]["cost_alpha1"], payload["config"]["cost_alpha2"]) == (0.6, 0.4)
         assert (payload["config"]["metric_alpha1"], payload["config"]["metric_alpha2"]) == (0.75, 0.5)
         assert payload["manifest"]["command"] == "experiment cost-validity"
+
+    def test_demand_seed_exit_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                       "magnitude_mu": 10.0, "magnitude_sigma": 2.0, "seed": 5},
+            "variance_levels": [0.5, 1.5], "seed": 3,
+        })
+        code = run_cli("experiment", "reliability", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "field 'demand'" in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -19,8 +19,8 @@ from demandeval.csvio import (
     RunManifest,
     decomposition_to_csv,
     format_number,
-    pair_csv_text,
     parse_pair_csv,
+    read_json_config,
     render_value,
     report_to_csv,
     report_to_dict,
@@ -73,10 +73,29 @@ class TestParsePairCsv:
         with pytest.raises(NegativeValue):
             parse_pair_csv(io.StringIO("t,actual,forecast\n1,-1,2\n"))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,actual,forecast\n1,1,\xff\n")
+        with pytest.raises(MalformedRow, match="UTF-8"):
+            parse_pair_csv(path)
+
     def test_crlf_and_blank_lines(self):
         text = "t,actual,forecast\r\n1,1,2\r\n\r\n2,3,4\r\n"
         pair = parse_pair_csv(io.StringIO(text))
         assert list(pair.actual.values) == [1, 3]
+
+
+class TestReadJsonConfig:
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"n": "\xff"}', b'{"n": ' + b"9" * 5000 + b"}", b"{not json"],
+        ids=["non-utf8", "over-long-integer", "syntax"],
+    )
+    def test_unreadable_config(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedRow, match="not valid UTF-8 JSON"):
+            read_json_config(path)
 
 
 class TestRoundTrip:
@@ -92,7 +111,10 @@ class TestRoundTrip:
 
     def test_fractional_values_survive(self):
         pair = EvaluationPair.from_values([0.1, 2.0000000001], [1e-9, 3.3333333333333335])
-        back = parse_pair_csv(io.StringIO(pair_csv_text(pair)))
+        buffer = io.StringIO()
+        write_pair_csv(pair, buffer)
+        buffer.seek(0)
+        back = parse_pair_csv(buffer)
         assert np.array_equal(back.actual.values, pair.actual.values)
         assert np.array_equal(back.forecast.values, pair.forecast.values)
 

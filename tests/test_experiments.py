@@ -131,6 +131,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="demand"):
             ReliabilityConfig.from_dict(data)
 
+    def test_from_dict_rejects_demand_seed(self):
+        # every runner derives per-series seeds from the top-level seed
+        data = {
+            "demand": {"n": 48, "count_mu": 5, "count_sigma": 1,
+                       "magnitude_mu": 10, "magnitude_sigma": 2, "seed": 5},
+            "variance_levels": [0.5, 1.5],
+        }
+        with pytest.raises(InvalidConfig, match="field 'demand'"):
+            ReliabilityConfig.from_dict(data)
+
 
 class TestReliability:
     def test_deterministic_report(self):
