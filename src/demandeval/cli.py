@@ -136,7 +136,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     pair = parse_pair_csv(args.input)
     params = _params(args)
     metrics = None
-    if args.metrics:
+    if args.metrics is not None:
         metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     report = compute_all(pair, params, metrics)
     if args.format == "table":
@@ -171,9 +171,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     curves = {}
     for path in args.input:
-        label = Path(path).stem
-        if label in curves:
-            label = f"{label}_{len(curves)}"
+        label = stem = Path(path).stem
+        suffix = len(curves)
+        while label in curves:
+            label = f"{stem}_{suffix}"
+            suffix += 1
         curves[label] = spec_alpha_sweep(parse_pair_csv(path), args.grid_size)
     _write_table_and_chart(
         args,

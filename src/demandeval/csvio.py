@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO
@@ -38,10 +39,8 @@ def format_number(x: float) -> str:
 
 def render_value(value: ExtendedValue, digits: int | None = None) -> str:
     """Render an extended metric value as report text."""
-    if value.kind == "positive_infinity":
-        return INF_TEXT
-    if value.kind == "undefined":
-        return UNDEF_TEXT
+    if not value.is_finite:
+        return UNDEF_TEXT if math.isnan(value.as_float()) else INF_TEXT
     if digits is None:
         return format_number(value.value)
     return format(value.value, f".{digits}f")
@@ -202,7 +201,7 @@ def sweep_to_csv(curves: dict[str, list[AlphaSweepPoint]]) -> str:
 
 
 def read_json_config(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:  # bad syntax, bad UTF-8, over-long integer

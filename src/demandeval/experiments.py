@@ -30,6 +30,7 @@ from .simulate import (
     ErrorInjectionConfig,
     _check_finite,
     _check_int,
+    _check_seed,
     _check_sigma,
     generate_demand,
     naive_forecast,
@@ -155,6 +156,7 @@ class ReliabilityConfig:
                 f"field 'error_directions': must be one of {_DIRECTIONS}, got {self.error_directions!r}"
             )
         _check_finite("field 'error_mu':", self.error_mu)
+        _check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -182,6 +184,7 @@ class ValidityConfig:
         _check_int("field 'series_count':", self.series_count, 2)
         _check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
         object.__setattr__(self, "metrics", _check_metrics(self.metrics))
+        _check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -207,6 +210,7 @@ class SegmentReliabilityConfig:
             raise InvalidConfig(
                 f"field 'window': {self.window} exceeds the demand horizon {self.demand.n}"
             )
+        _check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -412,6 +416,7 @@ def run_segment_reliability(
     if len(series_set) < 2:
         raise InvalidConfig("need at least 2 series")
     _check_int("field 'segments_per_series':", segments_per_series, 2)
+    _check_seed("field 'seed':", seed)
     groups: list[list[float]] = []
     for idx, series in enumerate(series_set):
         extracts = segment_extracts(series, window, segments_per_series, derive_seed(seed, 2, idx))

@@ -21,7 +21,6 @@ FINITE = "finite"
 POSITIVE_INFINITY = "positive_infinity"
 UNDEFINED = "undefined"
 
-REASON_DIVISION_BY_ZERO = "division-by-zero"
 REASON_ZERO_SCALE = "zero-denominator-scale"
 REASON_EMPTY_INPUT = "empty-input"
 

@@ -24,11 +24,6 @@ from demandeval import (
     SpecParams,
     ValidityConfig,
     compute_all,
-    f_sf,
-    levene,
-    mape,
-    pearson,
-    rmse,
     run_cost_validity,
     run_reliability,
     run_segment_reliability_config,
@@ -37,6 +32,8 @@ from demandeval import (
     spec_fast,
     spec_literal,
 )
+from demandeval.metrics import mape, rmse
+from demandeval.stats import f_sf, levene, pearson
 from conftest import ACTUAL, MODEL_A_FORECAST, MODEL_B_FORECAST, REPO_ROOT, random_pair
 
 CONFIG_DIR = REPO_ROOT / "configs"

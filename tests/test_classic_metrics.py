@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from demandeval import (
-    DemandEvalError,
-    EvaluationPair,
-    InvalidParams,
+from demandeval import DemandEvalError, EvaluationPair, compute_all
+from demandeval.errors import InvalidParams
+from demandeval.metrics import (
+    METRIC_NAMES,
+    REASON_EMPTY_INPUT,
+    REASON_ZERO_SCALE,
     MetricReport,
-    compute_all,
     mae,
     mape,
     mase,
@@ -21,7 +22,6 @@ from demandeval import (
     rmsse,
     smape,
 )
-from demandeval.metrics import METRIC_NAMES, REASON_EMPTY_INPUT, REASON_ZERO_SCALE
 from conftest import ACTUAL
 
 

@@ -73,7 +73,9 @@ class TestScore:
         assert run_cli("score", "--input", str(bad)) == 2
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("selection,named", [(",", "no metrics"), ("mae,nope", "nope")])
+    @pytest.mark.parametrize(
+        "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
+    )
     def test_bad_metric_selection_exit_2(self, model_a_csv, capsys, selection, named):
         for fmt in ("table", "json"):
             assert run_cli("score", "--input", model_a_csv, "--metrics", selection,
@@ -144,6 +146,30 @@ class TestSweep:
         assert manifest["config"] == {"inputs": [model_a_csv], "grid_size": 5}
         assert manifest["outputs"] == ([str(out), str(svg)] if with_svg else [str(out)])
         assert svg.exists() == with_svg
+
+    def test_colliding_labels_keep_every_input(self, tmp_path):
+        # b/x.csv renamed by count to "x_2" would take x_2.csv's column
+        paths = []
+        for name, forecast in (("x_2.csv", (0, 4, 0)), ("a/x.csv", (4, 0, 0)),
+                               ("b/x.csv", (0, 0, 4))):
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            body = "".join(f"{t},{a},{f}\n" for t, a, f in zip((1, 2, 3), (0, 4, 0), forecast))
+            path.write_text("t,actual,forecast\n" + body)
+            paths.append(str(path))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--grid-size", "5", "--out", str(out)]
+        for path in paths:
+            argv += ["--input", path]
+        assert run_cli(*argv) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert rows[0] == ["alpha1", "alpha2", "spec_x_2", "spec_x", "spec_x_3"]
+        for column, path in enumerate(paths, start=2):
+            alone = tmp_path / "alone.csv"
+            assert run_cli("sweep", "--input", path, "--grid-size", "5", "--out", str(alone)) == 0
+            expected = [line.split(",")[2] for line in alone.read_text().strip().splitlines()]
+            assert [row[column] for row in rows[1:]] == expected[1:]
+        assert len({tuple(row[c] for row in rows[1:]) for c in (2, 3, 4)}) == 3
 
     def test_grid_size_one_rejected(self, model_a_csv, tmp_path, capsys):
         code = run_cli(
@@ -352,6 +378,17 @@ class TestExperimentCommand:
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "field 'demand'" in capsys.readouterr().err
+
+    def test_bad_seed_exit_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                       "magnitude_mu": 10.0, "magnitude_sigma": 2.0},
+            "variance_levels": [0.5, 1.5], "seed": -1,
+        })
+        code = run_cli("experiment", "reliability", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "field 'seed'" in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,15 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from demandeval import (
-    EmptySeries,
-    EvaluationPair,
-    MalformedRow,
-    NonContiguousTime,
-    compute_all,
-    spec_decompose,
-    spec_alpha_sweep,
-)
+from demandeval import EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
+from demandeval.errors import EmptySeries, MalformedRow, NonContiguousTime
 from demandeval.csvio import (
     RunManifest,
     decomposition_to_csv,
@@ -68,7 +61,7 @@ class TestParsePairCsv:
             parse_pair_csv(io.StringIO("t,actual,forecast\n1,x,2\n"))
 
     def test_negative_value_propagates_series_error(self):
-        from demandeval import NegativeValue
+        from demandeval.errors import NegativeValue
 
         with pytest.raises(NegativeValue):
             parse_pair_csv(io.StringIO("t,actual,forecast\n1,-1,2\n"))
@@ -96,6 +89,11 @@ class TestReadJsonConfig:
         path.write_bytes(content)
         with pytest.raises(MalformedRow, match="not valid UTF-8 JSON"):
             read_json_config(path)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"n": 5}')
+        assert read_json_config(path) == {"n": 5}
 
 
 class TestRoundTrip:

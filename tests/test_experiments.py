@@ -10,12 +10,10 @@ import pytest
 
 from demandeval import (
     DemandGenConfig,
-    InvalidConfig,
     ReliabilityConfig,
     SegmentReliabilityConfig,
     SpecParams,
     ValidityConfig,
-    derive_seed,
     generate_demand,
     run_cost_validity,
     run_reliability,
@@ -23,6 +21,8 @@ from demandeval import (
     run_segment_reliability_config,
     run_validity,
 )
+from demandeval.errors import InvalidConfig
+from demandeval.experiments import derive_seed
 
 DEMAND = DemandGenConfig(
     n=48, count_mu=5.0, count_sigma=1.0, magnitude_mu=10.0, magnitude_sigma=2.0, seed=0
@@ -103,6 +103,22 @@ class TestConfigValidation:
     def test_level_entries_must_be_numbers(self, make, field, levels):
         with pytest.raises(InvalidConfig, match=field):
             make(**{field: levels})
+
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True, 2**64])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            small_reliability,
+            small_validity,
+            lambda **kw: SegmentReliabilityConfig(
+                demand=DEMAND, magnitude_mus=(5.0, 20.0), window=24, **kw
+            ),
+        ],
+        ids=["reliability", "validity", "segment-reliability"],
+    )
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, make, seed):
+        with pytest.raises(InvalidConfig, match="field 'seed'"):
+            make(seed=seed)
 
     def test_levels_must_be_a_list(self):
         with pytest.raises(InvalidConfig, match="variance_levels"):
@@ -204,6 +220,12 @@ class TestSegmentReliability:
         series = generate_demand(DEMAND)
         with pytest.raises(InvalidConfig):
             run_segment_reliability([series], window=24, segments_per_series=5, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_series_set_seed_is_checked(self, seed):
+        series = [generate_demand(DEMAND), generate_demand(DEMAND)]
+        with pytest.raises(InvalidConfig, match="field 'seed'"):
+            run_segment_reliability(series, 24, 10, seed=seed)
 
     def test_deterministic(self):
         series = [generate_demand(DEMAND), generate_demand(DEMAND)]

@@ -2,15 +2,9 @@
 
 import pytest
 
-from demandeval import (
-    DemandSeries,
-    EmptySeries,
-    EvaluationPair,
-    ForecastSeries,
-    LengthMismatch,
-    NegativeValue,
-    NonFiniteValue,
-)
+from demandeval import EvaluationPair
+from demandeval.errors import EmptySeries, LengthMismatch, NegativeValue, NonFiniteValue
+from demandeval.series import DemandSeries, ForecastSeries
 
 
 class TestValidateSeries:

@@ -5,17 +5,15 @@ import pytest
 
 from demandeval import (
     DemandGenConfig,
-    DemandSeries,
     ErrorInjectionConfig,
     EvaluationPair,
-    InvalidConfig,
-    WindowTooLarge,
     generate_demand,
-    naive_forecast,
     perturb_forecast,
-    segment_extracts,
     spec_fast,
 )
+from demandeval.errors import InvalidConfig, WindowTooLarge
+from demandeval.series import DemandSeries
+from demandeval.simulate import naive_forecast, segment_extracts
 from conftest import ACTUAL, MODEL_A_FORECAST
 
 

@@ -6,13 +6,13 @@ import pytest
 from demandeval import (
     DEFAULT_PARAMS,
     EvaluationPair,
-    InvalidParams,
     SpecParams,
     spec_alpha_sweep,
     spec_decompose,
     spec_fast,
     spec_literal,
 )
+from demandeval.errors import InvalidParams
 from conftest import ACTUAL, random_pair
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demandeval import EvaluationPair, SpecParams, mape, spec_decompose, spec_fast
+from demandeval import EvaluationPair, SpecParams, spec_decompose, spec_fast
+from demandeval.metrics import mape
 
 quantities = st.lists(
     st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30

@@ -10,18 +10,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from demandeval import (
+from demandeval.errors import (
     DegenerateInput,
     GroupTooSmall,
     InvalidDegreesOfFreedom,
     LengthMismatch,
     TooFewGroups,
-    f_sf,
-    levene,
-    mean,
-    pearson,
-    variance,
 )
+from demandeval.stats import f_sf, levene, mean, pearson, variance
 
 
 class TestDescriptives:
