@@ -18,12 +18,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .errors import EmptySeries, MalformedRow, NonContiguousTime
 from .metrics import ExtendedValue, MetricReport
 from .series import DemandSeries, EvaluationPair, ForecastSeries
 from .spec import AlphaSweepPoint, CostBreakdown
 
 PAIR_HEADER = ("t", "actual", "forecast")
+_PAIR_DTYPE = [("t", np.int64), ("a", float), ("f", float)]
+
+#: Rows per joined string when writing a pair CSV.
+_WRITE_BLOCK = 65_536
 
 #: Pinned renderings for non-finite report values.
 INF_TEXT = "inf"
@@ -62,14 +68,49 @@ def parse_pair_csv(source: str | Path | IO[str]) -> EvaluationPair:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             try:
-                return _parse_pair_stream(handle)
+                return _parse_pair_bulk(handle)
             except UnicodeDecodeError as exc:
                 raise MalformedRow(f"{source}: not UTF-8 text ({exc})") from None
-    return _parse_pair_stream(source)
+    return _parse_pair_bulk(io.StringIO(source.read(), newline=""))
+
+
+def _parse_pair_bulk(handle: IO[str]) -> EvaluationPair:
+    """Read the data rows in one ``np.loadtxt`` pass, streaming from ``handle``.
+
+    ``loadtxt`` takes a strict subset of what the row loop accepts: no quoted
+    fields, no ``_`` in numbers, no whitespace-only lines. Whatever it does
+    not take -- and every malformed input -- is read again from the start by
+    :func:`_parse_pair_stream`, the one path that reports line-numbered
+    errors, so both give the same values or the same error.
+    """
+    header = handle.readline()
+    body = handle.tell()
+    # A first non-blank data row means loadtxt never meets an empty body.
+    if tuple(cell.strip().lower() for cell in header.split(",")) == PAIR_HEADER and (
+        handle.readline().strip()
+    ):
+        handle.seek(body)
+        try:
+            rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=1, dtype=_PAIR_DTYPE)
+        except ValueError:  # includes UnicodeDecodeError
+            pass
+        else:
+            if np.array_equal(rows["t"], np.arange(1, rows.size + 1)):
+                return EvaluationPair(DemandSeries(rows["a"]), ForecastSeries(rows["f"]))
+    handle.seek(0)
+    return _parse_pair_stream(handle)
 
 
 def _parse_pair_stream(stream: IO[str]) -> EvaluationPair:
     reader = csv.reader(stream)
+    try:
+        actual, forecast = _read_pair_rows(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+    return EvaluationPair(DemandSeries(actual), ForecastSeries(forecast))
+
+
+def _read_pair_rows(reader) -> tuple[list[float], list[float]]:
     try:
         header = next(reader)
     except StopIteration:
@@ -101,7 +142,7 @@ def _parse_pair_stream(stream: IO[str]) -> EvaluationPair:
         forecast.append(f)
     if not actual:
         raise EmptySeries("input contains a header but no data rows")
-    return EvaluationPair(DemandSeries(actual), ForecastSeries(forecast))
+    return actual, forecast
 
 
 def write_pair_csv(pair: EvaluationPair, target: str | Path | IO[str]) -> None:
@@ -114,10 +155,16 @@ def write_pair_csv(pair: EvaluationPair, target: str | Path | IO[str]) -> None:
 
 
 def _write_pair_stream(pair: EvaluationPair, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PAIR_HEADER)
-    for t, (a, f) in enumerate(zip(pair.actual.values, pair.forecast.values), start=1):
-        writer.writerow([t, repr(float(a)), repr(float(f))])
+    """Write one joined string per ``_WRITE_BLOCK`` rows, so memory stays flat in n."""
+    stream.write(",".join(PAIR_HEADER) + "\n")
+    for start in range(0, pair.n, _WRITE_BLOCK):
+        stop = min(start + _WRITE_BLOCK, pair.n)
+        stream.write("".join(map(
+            "{},{!r},{!r}\n".format,
+            range(start + 1, stop + 1),
+            pair.actual.values[start:stop].tolist(),
+            pair.forecast.values[start:stop].tolist(),
+        )))
 
 
 @dataclass(frozen=True)
@@ -173,14 +220,13 @@ def report_to_table(report: MetricReport) -> str:
 
 def decomposition_to_csv(breakdown: CostBreakdown) -> str:
     """Per-step cost attribution as plot-ready CSV (t, opportunity, stock)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t", "opportunity", "stock"])
-    for t in range(1, breakdown.n + 1):
-        writer.writerow(
-            [t, format_number(breakdown.opportunity_at(t)), format_number(breakdown.stock_at(t))]
-        )
-    return buffer.getvalue()
+    rows = map(
+        "{},{},{}\n".format,
+        range(1, breakdown.n + 1),
+        map(format_number, breakdown.per_t_opportunity.tolist()),
+        map(format_number, breakdown.per_t_stock.tolist()),
+    )
+    return "t,opportunity,stock\n" + "".join(rows)
 
 
 def sweep_to_csv(curves: dict[str, list[AlphaSweepPoint]]) -> str:

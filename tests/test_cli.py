@@ -74,6 +74,18 @@ class TestScore:
         assert "UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field,named",
+        [("x" * 200_000, "line 2: field larger than field limit"),
+         ("1" * 200_000, "NaN or infinite")],
+        ids=["non-numeric", "numeric"],
+    )
+    def test_over_long_field_exit_2(self, tmp_path, capsys, field, named):
+        bad = tmp_path / "long_field.csv"
+        bad.write_text(f"t,actual,forecast\n1,1,{field}\n")
+        assert run_cli("score", "--input", str(bad)) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
     )
     def test_bad_metric_selection_exit_2(self, model_a_csv, capsys, selection, named):

@@ -1,15 +1,20 @@
 """CSV/JSON formats: parsing, round-trips, and pinned renderings."""
 
+import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demandeval import EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
-from demandeval.errors import EmptySeries, MalformedRow, NonContiguousTime
+from demandeval.errors import DemandEvalError, EmptySeries, MalformedRow, NonContiguousTime
 from demandeval.csvio import (
+    PAIR_HEADER,
     RunManifest,
+    _parse_pair_stream,
     decomposition_to_csv,
     format_number,
     parse_pair_csv,
@@ -78,6 +83,117 @@ class TestParsePairCsv:
         assert list(pair.actual.values) == [1, 3]
 
 
+    @pytest.mark.parametrize("text", ["t,actual,forecast\n", "t,actual,forecast\n\n \n"])
+    def test_header_only_raises_without_warnings(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in (path, io.StringIO(text)):
+                with pytest.raises(EmptySeries, match="input contains a header but no data rows"):
+                    parse_pair_csv(source)
+
+    def test_over_long_field_is_a_malformed_row(self):
+        text = "t,actual,forecast\n1,1," + "x" * 200_000 + "\n"
+        with pytest.raises(MalformedRow, match="line 2: field larger than field limit"):
+            parse_pair_csv(io.StringIO(text))
+
+
+H = "t,actual,forecast\n"
+
+#: Inputs on both sides of the bulk reader's format edges, by name.
+EDGE_CORPUS = {
+    "plain": H + "1,2,3\n2,0,1.5\n",
+    "plus_t": H + "+1,2,3\n",
+    "padded_t": H + " 1 ,2,3\n",
+    "float_t": H + "1.0,2,3\n",
+    "arabic_indic_t": H + "\u0661,2,3\n",
+    "fullwidth_t": H + "\uff11,2,3\n",
+    "underscore_t": H + "".join(f"{t},1,1\n" for t in range(1, 10)) + "1_0,2,3\n",
+    "underscore_value": H + "1,1_0,3\n",
+    "hex_t": H + "0x1,2,3\n",
+    "hex_value": H + "1,0x1,3\n",
+    "empty_value": H + "1,,3\n",
+    "padded_value": H + "1, 2 ,\t3\n",
+    "nan": H + "1,nan,3\n",
+    "inf": H + "1,inf,3\n",
+    "Infinity": H + "1,2,Infinity\n",
+    "1e400": H + "1,1e400,3\n",
+    "quoted_field": H + '1,"2",3\n',
+    "quoted_header": '"t","actual","forecast"\n1,2,3\n',
+    "blank_lines": H + "1,2,3\n\n2,3,4\n\n",
+    "blank_first_line": H + "\n1,2,3\n",
+    "whitespace_line": H + "1,2,3\n  \n2,3,4\n",
+    "crlf": H.replace("\n", "\r\n") + "1,2,3\r\n2,3,4\r\n",
+    "cr_only": H.replace("\n", "\r") + "1,2,3\r2,3,4\r",
+    "hash_line": H + "#x\n1,2,3\n",
+    "two_fields": H + "1,2\n",
+    "four_fields": H + "1,2,3,4\n",
+    "t_gap": H + "1,2,3\n3,4,5\n",
+    "header_only": H,
+    "empty": "",
+    "no_final_newline": H + "1,2,3\n2,3,4",
+    "negative_value": H + "1,-2,3\n",
+    "capitalised_header": "T, Actual ,FORECAST\n1,2,3\n",
+    "byte_order_mark": "\ufeff" + H + "1,2,3\n",
+    "wrong_header": "a,b,c\n1,2,3\n",
+    "subnormal_and_huge": H + "1,5e-324,1e300\n2,-0.0,0\n",
+}
+
+
+def _outcome(read, source):
+    """The value bytes a read gives, or its error type and message."""
+    try:
+        pair = read(source)
+    except DemandEvalError as exc:
+        return type(exc), str(exc)
+    return pair.actual.values.tobytes(), pair.forecast.values.tobytes()
+
+
+def _row_loop_from_path(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        return _parse_pair_stream(handle)
+
+
+def _assert_bulk_matches_row_loop(text, path):
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(parse_pair_csv, path) == _outcome(_row_loop_from_path, path)
+    assert _outcome(parse_pair_csv, io.StringIO(text)) == _outcome(
+        _parse_pair_stream, io.StringIO(text, newline="")
+    )
+
+
+class TestBulkReaderAgreesWithRowLoop:
+    @pytest.mark.parametrize("text", EDGE_CORPUS.values(), ids=EDGE_CORPUS.keys())
+    def test_edge_corpus(self, tmp_path, text):
+        _assert_bulk_matches_row_loop(text, tmp_path / "pair.csv")
+
+    _FIELDS = ("0", "2.5", " 1 ", "+1", "1.0", "1_0", "\u0661", "0x1", "", "nan", "inf",
+               "1e400", "-1", '"2"', "#", "x")
+    _ROWS = st.one_of(
+        st.tuples(st.just("{t}"), st.sampled_from(_FIELDS), st.sampled_from(_FIELDS)).map(",".join),
+        st.tuples(*[st.sampled_from(_FIELDS)] * 3).map(",".join),
+        st.sampled_from(["", " ", "#c", "{t},2", "{t},2,3,4"]),
+    )
+
+    @given(
+        header=st.sampled_from(["t,actual,forecast", "T, Actual ,FORECAST", '"t",actual,forecast',
+                                "a,b,c"]),
+        rows=st.lists(st.tuples(_ROWS, st.sampled_from(["\n", "\r\n", "\r"])), max_size=6),
+        final_newline=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_texts(self, tmp_path_factory, header, rows, final_newline):
+        lines, t = [header + "\n"], 0
+        for row, eol in rows:
+            t += "{t}" in row
+            lines.append(row.format(t=t) + eol)
+        text = "".join(lines)
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        _assert_bulk_matches_row_loop(text, tmp_path_factory.getbasetemp() / "property.csv")
+
+
 class TestReadJsonConfig:
     @pytest.mark.parametrize(
         "content",
@@ -115,6 +231,27 @@ class TestRoundTrip:
         back = parse_pair_csv(buffer)
         assert np.array_equal(back.actual.values, pair.actual.values)
         assert np.array_equal(back.forecast.values, pair.forecast.values)
+
+
+    def test_long_pair_bytes_and_bits_survive(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 100_000  # more than one write block
+        actual = rng.exponential(5.0, n) * (rng.random(n) < 0.3)
+        forecast = rng.uniform(0.0, 20.0, n)
+        actual[:4] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300]
+        forecast[-3:] = [1e300, -0.0, 4e-320]
+        pair = EvaluationPair.from_values(actual, forecast)
+        path = tmp_path / "long.csv"
+        write_pair_csv(pair, path)
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(PAIR_HEADER)
+        for t, (a, f) in enumerate(zip(pair.actual.values, pair.forecast.values), start=1):
+            writer.writerow([t, repr(float(a)), repr(float(f))])
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        back = parse_pair_csv(path)
+        assert np.array_equal(back.actual.values.view(np.uint64), actual.view(np.uint64))
+        assert np.array_equal(back.forecast.values.view(np.uint64), forecast.view(np.uint64))
 
 
 class TestRenderings:
@@ -155,6 +292,18 @@ class TestPlotData:
         assert lines[0] == "t,opportunity,stock"
         assert "11,9,0" in lines
         assert "8,0,1" in lines
+
+    def test_decomposition_bytes_match_csv_writer(self):
+        rng = np.random.default_rng(3)
+        breakdown = spec_decompose(random_pair(rng, max_n=500))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["t", "opportunity", "stock"])
+        for t in range(1, breakdown.n + 1):
+            writer.writerow(
+                [t, format_number(breakdown.opportunity_at(t)), format_number(breakdown.stock_at(t))]
+            )
+        assert decomposition_to_csv(breakdown) == reference.getvalue()
 
     def test_sweep_columns(self, model_a_pair, model_b_pair):
         curves = {
