@@ -46,13 +46,26 @@ from .experiments import (
 from .metrics import METRIC_NAMES, compute_all
 from .simulate import DemandGenConfig, ErrorInjectionConfig, generate_demand, perturb_forecast
 from .series import EvaluationPair
-from .spec import SpecParams, spec_alpha_sweep, spec_decompose
+from .spec import DEFAULT_PARAMS, SpecParams, spec_alpha_sweep, spec_decompose
 from .svg import render_decomposition_svg, render_sweep_svg
 
 
+#: Config parser and runner per ``experiment`` kind, in ``--help`` order.
+_EXPERIMENT_RUNNERS = {
+    "reliability": (ReliabilityConfig.from_dict, run_reliability),
+    "segment-reliability": (SegmentReliabilityConfig.from_dict, run_segment_reliability_config),
+    "validity": (ValidityConfig.from_dict, run_validity),
+    "cost-validity": (_cost_validity_from_dict, lambda parsed: run_cost_validity(*parsed)),
+}
+
+
 def _alpha_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha1", type=float, default=0.75, help="opportunity cost weight")
-    parser.add_argument("--alpha2", type=float, default=0.25, help="stock-keeping cost weight")
+    parser.add_argument(
+        "--alpha1", type=float, default=DEFAULT_PARAMS.alpha1, help="opportunity cost weight"
+    )
+    parser.add_argument(
+        "--alpha2", type=float, default=DEFAULT_PARAMS.alpha2, help="stock-keeping cost weight"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a reliability/validity study")
-    p.add_argument(
-        "kind",
-        choices=("reliability", "segment-reliability", "validity", "cost-validity"),
-    )
+    p.add_argument("kind", choices=tuple(_EXPERIMENT_RUNNERS))
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_experiment)
@@ -215,14 +225,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _manifest("simulate", settings, seeds, [pair_path]).to_json(), encoding="utf-8"
     )
     return 0
-
-
-_EXPERIMENT_RUNNERS = {
-    "reliability": (ReliabilityConfig.from_dict, run_reliability),
-    "validity": (ValidityConfig.from_dict, run_validity),
-    "segment-reliability": (SegmentReliabilityConfig.from_dict, run_segment_reliability_config),
-    "cost-validity": (_cost_validity_from_dict, lambda parsed: run_cost_validity(*parsed)),
-}
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

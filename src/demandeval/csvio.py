@@ -43,10 +43,17 @@ def format_number(x: float) -> str:
     return format(float(x), f".{REPORT_SIGNIFICANT_DIGITS}g")
 
 
+def json_number(x: float):
+    """``x`` when finite, else its pinned text: ``inf`` or ``undef`` (for NaN)."""
+    if math.isfinite(x):
+        return x
+    return UNDEF_TEXT if math.isnan(x) else INF_TEXT
+
+
 def render_value(value: ExtendedValue, digits: int | None = None) -> str:
     """Render an extended metric value as report text."""
     if not value.is_finite:
-        return UNDEF_TEXT if math.isnan(value.as_float()) else INF_TEXT
+        return json_number(value.value)
     if digits is None:
         return format_number(value.value)
     return format(value.value, f".{digits}f")
@@ -54,8 +61,7 @@ def render_value(value: ExtendedValue, digits: int | None = None) -> str:
 
 def value_to_json(value: ExtendedValue):
     """JSON form: a number rounded to report precision, or 'inf'/'undef'."""
-    text = render_value(value)
-    return float(text) if value.is_finite else text
+    return json_number(float(format_number(value.value)))
 
 
 def dump_json(payload) -> str:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import dump_json
+from .csvio import dump_json, json_number
 from .errors import DegenerateInput, InvalidConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .series import DemandSeries, EvaluationPair
@@ -243,19 +243,11 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         payload = asdict(self)
         if self.levene is not None:
-            payload["levene"]["w"] = _json_float(self.levene.w)
+            payload["levene"]["w"] = json_number(self.levene.w)
         return payload
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
-
-
-def _json_float(x: float):
-    if math.isinf(x):
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
 
 
 def _error_config(direction: str, mu: float, sigma: float, seed: int) -> ErrorInjectionConfig:
@@ -301,7 +293,7 @@ def _pair_stream(
                 if cost_params is not None:
                     costs.append(stock_cost(pair, cost_params))
                 for m in config.metrics:
-                    value = compute_metric(m, pair, params).as_float()
+                    value = compute_metric(m, pair, params).value
                     values[m].append(value)
                     if not math.isfinite(value):
                         bad[m] += 1

@@ -17,60 +17,16 @@ from .errors import InvalidParams
 from .series import EvaluationPair
 from .spec import DEFAULT_PARAMS, SpecParams, spec_fast
 
-FINITE = "finite"
-POSITIVE_INFINITY = "positive_infinity"
-UNDEFINED = "undefined"
-
-REASON_ZERO_SCALE = "zero-denominator-scale"
-REASON_EMPTY_INPUT = "empty-input"
-
-#: Report order for the full metric set.
-METRIC_NAMES = (
-    "mae",
-    "mdae",
-    "mse",
-    "rmse",
-    "mape",
-    "mdape",
-    "rmspe",
-    "smape",
-    "mase",
-    "rmsse",
-    "spec",
-)
-
 
 @dataclass(frozen=True)
 class ExtendedValue:
-    """A metric outcome: a finite real, positive infinity, or undefined."""
+    """A metric outcome: a finite real, ``math.inf``, or ``math.nan`` for undefined."""
 
-    kind: str
-    value: float | None = None
-    reason: str | None = None
-
-    @classmethod
-    def finite(cls, value: float) -> "ExtendedValue":
-        return cls(FINITE, float(value))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedValue":
-        return cls(POSITIVE_INFINITY)
-
-    @classmethod
-    def undefined(cls, reason: str) -> "ExtendedValue":
-        return cls(UNDEFINED, reason=reason)
+    value: float
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE
-
-    def as_float(self) -> float:
-        """Finite value, +inf, or NaN for undefined."""
-        if self.kind == FINITE:
-            return self.value  # type: ignore[return-value]
-        if self.kind == POSITIVE_INFINITY:
-            return math.inf
-        return math.nan
+        return math.isfinite(self.value)
 
 
 @dataclass(frozen=True)
@@ -87,65 +43,57 @@ def _errors(pair: EvaluationPair) -> np.ndarray:
 
 def mae(pair: EvaluationPair) -> ExtendedValue:
     """Mean absolute error."""
-    return ExtendedValue.finite(np.abs(_errors(pair)).mean())
+    return ExtendedValue(float(np.abs(_errors(pair)).mean()))
 
 
 def mdae(pair: EvaluationPair) -> ExtendedValue:
     """Median absolute error."""
-    return ExtendedValue.finite(np.median(np.abs(_errors(pair))))
+    return ExtendedValue(float(np.median(np.abs(_errors(pair)))))
 
 
 def mse(pair: EvaluationPair) -> ExtendedValue:
     """Mean squared error."""
     e = _errors(pair)
-    return ExtendedValue.finite((e * e).mean())
+    return ExtendedValue(float((e * e).mean()))
 
 
 def rmse(pair: EvaluationPair) -> ExtendedValue:
     """Root mean squared error."""
     e = _errors(pair)
-    return ExtendedValue.finite(math.sqrt((e * e).mean()))
+    return ExtendedValue(math.sqrt((e * e).mean()))
 
 
-def _percentage_terms(pair: EvaluationPair) -> np.ndarray | ExtendedValue:
-    """|e_t| / y_t over the defined steps, or the degenerate outcome.
+def _percentage(pair: EvaluationPair, reduce) -> ExtendedValue:
+    """``reduce`` of the terms |e_t| / y_t, or the degenerate outcome.
 
     Steps with y_t = 0 and e_t = 0 are skipped; any step with y_t = 0 and
-    e_t != 0 makes the whole percentage-family result positive infinity.
+    e_t != 0 makes the whole percentage-family result positive infinity, and
+    a result with no step left is undefined.
     """
     y = pair.actual.values
     e = np.abs(_errors(pair))
     zero_y = y == 0
     if (zero_y & (e != 0)).any():
-        return ExtendedValue.infinite()
+        return ExtendedValue(math.inf)
     keep = ~zero_y
     if not keep.any():
-        return ExtendedValue.undefined(REASON_EMPTY_INPUT)
-    return e[keep] / y[keep]
+        return ExtendedValue(math.nan)
+    return ExtendedValue(float(reduce(e[keep] / y[keep])))
 
 
 def mape(pair: EvaluationPair) -> ExtendedValue:
     """Mean absolute percentage error (ratio, not multiplied by 100)."""
-    terms = _percentage_terms(pair)
-    if isinstance(terms, ExtendedValue):
-        return terms
-    return ExtendedValue.finite(terms.mean())
+    return _percentage(pair, np.mean)
 
 
 def mdape(pair: EvaluationPair) -> ExtendedValue:
     """Median absolute percentage error, same term conventions as mape."""
-    terms = _percentage_terms(pair)
-    if isinstance(terms, ExtendedValue):
-        return terms
-    return ExtendedValue.finite(np.median(terms))
+    return _percentage(pair, np.median)
 
 
 def rmspe(pair: EvaluationPair) -> ExtendedValue:
     """Root mean squared percentage error, same term conventions as mape."""
-    terms = _percentage_terms(pair)
-    if isinstance(terms, ExtendedValue):
-        return terms
-    return ExtendedValue.finite(math.sqrt((terms * terms).mean()))
+    return _percentage(pair, lambda t: math.sqrt((t * t).mean()))
 
 
 def smape(pair: EvaluationPair) -> ExtendedValue:
@@ -159,9 +107,9 @@ def smape(pair: EvaluationPair) -> ExtendedValue:
     denom = y + f  # both are non-negative
     keep = denom > 0
     if not keep.any():
-        return ExtendedValue.undefined(REASON_EMPTY_INPUT)
+        return ExtendedValue(math.nan)
     terms = np.abs(f[keep] - y[keep]) / denom[keep]
-    return ExtendedValue.finite(terms.mean())
+    return ExtendedValue(float(terms.mean()))
 
 
 def _naive_abs_scale(pair: EvaluationPair) -> float | None:
@@ -180,21 +128,21 @@ def mase(pair: EvaluationPair) -> ExtendedValue:
     """
     scale = _naive_abs_scale(pair)
     if not scale:
-        return ExtendedValue.undefined(REASON_ZERO_SCALE)
-    return ExtendedValue.finite(np.abs(_errors(pair)).mean() / scale)
+        return ExtendedValue(math.nan)
+    return ExtendedValue(float(np.abs(_errors(pair)).mean() / scale))
 
 
 def rmsse(pair: EvaluationPair) -> ExtendedValue:
     """Root mean squared scaled error, the squared-error analogue of mase."""
     y = pair.actual.values
     if y.size < 2:
-        return ExtendedValue.undefined(REASON_ZERO_SCALE)
+        return ExtendedValue(math.nan)
     d = np.diff(y)
     scale_sq = float((d * d).mean())
     if scale_sq == 0.0:
-        return ExtendedValue.undefined(REASON_ZERO_SCALE)
+        return ExtendedValue(math.nan)
     e = _errors(pair)
-    return ExtendedValue.finite(math.sqrt((e * e).mean() / scale_sq))
+    return ExtendedValue(math.sqrt((e * e).mean() / scale_sq))
 
 
 _METRIC_FUNCS = {
@@ -210,11 +158,14 @@ _METRIC_FUNCS = {
     "rmsse": rmsse,
 }
 
+#: Report order for the full metric set.
+METRIC_NAMES = (*_METRIC_FUNCS, "spec")
+
 
 def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> ExtendedValue:
     """Evaluate a single metric by report name."""
     if name == "spec":
-        return ExtendedValue.finite(spec_fast(pair, params))
+        return ExtendedValue(spec_fast(pair, params))
     try:
         func = _METRIC_FUNCS[name]
     except KeyError:
@@ -231,5 +182,7 @@ def compute_all(
     names = METRIC_NAMES if metrics is None else tuple(metrics)
     if not names:
         raise InvalidParams("no metrics selected")
-    entries = {name: compute_metric(name, pair, params) for name in names}
+    # Values past the float range become inf or nan, which the report renders.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = {name: compute_metric(name, pair, params) for name in names}
     return MetricReport(entries=entries, params=params)

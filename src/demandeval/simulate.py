@@ -132,9 +132,11 @@ def perturb_forecast(actual: DemandSeries, config: ErrorInjectionConfig) -> Fore
     y = actual.values
     n = actual.n
     out = np.zeros(n)
-    for pos in np.flatnonzero(y):
-        offset = int(np.rint(rng.normal(config.horizontal_mu, config.horizontal_sigma)))
-        target = min(max(pos + offset, 0), n - 1)
+    for pos in np.flatnonzero(y).tolist():
+        shift = rng.normal(config.horizontal_mu, config.horizontal_sigma)
+        if not -n < shift < n:  # clamp before rounding: a draw may exceed any int64
+            shift = math.copysign(n, shift)
+        target = min(max(pos + round(shift), 0), n - 1)
         magnitude = y[pos] + rng.normal(config.vertical_mu, config.vertical_sigma)
         if magnitude > 0:
             out[target] += magnitude

@@ -1,6 +1,7 @@
 """Conventions and golden values for the traditional accuracy measures."""
 
 import math
+import warnings
 
 import pytest
 
@@ -8,8 +9,6 @@ from demandeval import DemandEvalError, EvaluationPair, compute_all
 from demandeval.errors import InvalidParams
 from demandeval.metrics import (
     METRIC_NAMES,
-    REASON_EMPTY_INPUT,
-    REASON_ZERO_SCALE,
     MetricReport,
     mae,
     mape,
@@ -31,13 +30,13 @@ class TestWorkedExampleColumn:
     def test_model_a(self, model_a_pair):
         assert mae(model_a_pair).value == pytest.approx(1.143, abs=1e-3)
         assert rmse(model_a_pair).value == pytest.approx(3.024, abs=1e-3)
-        assert mape(model_a_pair).kind == "positive_infinity"
+        assert mape(model_a_pair).value == math.inf
         assert smape(model_a_pair).value == pytest.approx(0.667, abs=1e-3)
 
     def test_model_b(self, model_b_pair):
         assert mae(model_b_pair).value == pytest.approx(0.857, abs=1e-3)
         assert rmse(model_b_pair).value == pytest.approx(2.390, abs=1e-3)
-        assert mape(model_b_pair).kind == "positive_infinity"
+        assert mape(model_b_pair).value == math.inf
         assert smape(model_b_pair).value == pytest.approx(0.667, abs=1e-3)
 
     def test_mase_standard_convention(self, model_a_pair, model_b_pair):
@@ -87,17 +86,16 @@ class TestPercentageConventions:
     def test_zero_actual_nonzero_error_is_infinite(self):
         pair = EvaluationPair.from_values([0, 2], [1, 2])
         for metric in (mape, mdape, rmspe):
-            assert metric(pair).kind == "positive_infinity"
+            assert metric(pair).value == math.inf
 
     def test_all_terms_skipped_is_undefined(self):
         pair = EvaluationPair.from_values([0, 0], [0, 0])
         outcome = mape(pair)
-        assert outcome.kind == "undefined"
-        assert outcome.reason == REASON_EMPTY_INPUT
+        assert math.isnan(outcome.value)
 
     def test_smape_support_and_range(self):
         pair = EvaluationPair.from_values([0, 0], [0, 0])
-        assert smape(pair).kind == "undefined"
+        assert math.isnan(smape(pair).value)
         pair = EvaluationPair.from_values([0, 2], [4, 2])
         # terms: 4/(0+4)=1 and 0 -> mean over the two supported steps
         assert smape(pair).value == pytest.approx(0.5)
@@ -106,13 +104,13 @@ class TestPercentageConventions:
 class TestScaledErrors:
     def test_constant_actuals_undefined(self):
         pair = EvaluationPair.from_values([3, 3, 3], [1, 2, 3])
-        assert mase(pair).kind == "undefined"
-        assert mase(pair).reason == REASON_ZERO_SCALE
-        assert rmsse(pair).kind == "undefined"
+        assert math.isnan(mase(pair).value)
+        assert math.isnan(rmsse(pair).value)
 
     def test_single_step_undefined(self):
         pair = EvaluationPair.from_values([3], [1])
-        assert mase(pair).kind == "undefined"
+        assert math.isnan(mase(pair).value)
+        assert math.isnan(rmsse(pair).value)
 
     def test_rmsse_value(self):
         pair = EvaluationPair.from_values([0, 4, 0], [2, 0, 0])
@@ -153,7 +151,7 @@ class TestComputeAll:
         assert tuple(report.entries) == METRIC_NAMES
         assert report.entries["spec"].is_finite
         assert report.entries["spec"].value == pytest.approx(2.0 / 14.0, abs=1e-9)
-        assert report.entries["mape"].kind == "positive_infinity"
+        assert report.entries["mape"].value == math.inf
 
     def test_subset(self, model_a_pair):
         report = compute_all(model_a_pair, metrics=("mae", "spec"))
@@ -165,11 +163,20 @@ class TestComputeAll:
         for name in ("mae", "mse", "rmse", "spec"):
             assert report.entries[name].value == 0.0
         for name in ("mape", "smape"):
-            assert report.entries[name].kind == "undefined"
+            assert math.isnan(report.entries[name].value)
 
     def test_unknown_metric(self, model_a_pair):
         with pytest.raises(DemandEvalError):
             compute_all(model_a_pair, metrics=("mae", "nope"))
+
+    def test_overflow_is_non_finite_without_warnings(self):
+        pair = EvaluationPair.from_values([1e200, 0], [0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_all(pair)
+        assert report.entries["mse"].value == report.entries["rmse"].value == math.inf
+        assert math.isnan(report.entries["rmsse"].value)
+        assert not report.entries["rmsse"].is_finite
 
     def test_empty_selection(self, model_a_pair):
         with pytest.raises(InvalidParams, match="no metrics"):

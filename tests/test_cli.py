@@ -85,6 +85,23 @@ class TestScore:
         assert run_cli("score", "--input", str(bad)) == 2
         assert named in capsys.readouterr().err
 
+    def test_overflowing_pair_is_strict_json_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text("t,actual,forecast\n1,1e200,0\n2,0,1e200\n")
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert run_cli("score", "--input", str(path), "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        metrics = json.loads(captured.out, parse_constant=reject)["metrics"]
+        assert (metrics["mse"], metrics["rmse"], metrics["rmsse"]) == ("inf", "inf", "undef")
+        for fmt, rmsse_line in (("table", "RMSSE undef"), ("csv", "rmsse,undef")):
+            assert run_cli("score", "--input", str(path), "--format", fmt) == 0
+            captured = capsys.readouterr()
+            assert rmsse_line in captured.out.splitlines() and captured.err == ""
+
     @pytest.mark.parametrize(
         "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
     )
@@ -273,11 +290,25 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shift", [{"horizontal_sigma": 1e300}, {"horizontal_mu": 1e19}])
+    def test_shift_past_int64_exit_0(self, tmp_path, capsys, shift):
+        cfg = {**json.loads(self._config(tmp_path).read_text()), "error": {**shift, "seed": 4}}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path / "run")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"n": "\xff"}')
         assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_non_object_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 2
+        assert "top-level JSON value must be an object" in capsys.readouterr().err
 
 
 def test_decompose_and_sweep_scale_to_long_series(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -261,8 +262,8 @@ class TestRenderings:
         assert format_number(9.0) == "9"
 
     def test_pinned_non_finite_text(self):
-        assert render_value(ExtendedValue.infinite()) == "inf"
-        assert render_value(ExtendedValue.undefined("empty-input")) == "undef"
+        assert render_value(ExtendedValue(math.inf)) == "inf"
+        assert render_value(ExtendedValue(math.nan)) == "undef"
 
     def test_report_json_shape(self, model_a_pair):
         report = compute_all(model_a_pair)

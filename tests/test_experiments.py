@@ -71,17 +71,36 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="variance_levels"):
             small_reliability(variance_levels=(1.0, 1.0))
 
+    def test_negative_variance_level_rejected(self):
+        with pytest.raises(InvalidConfig, match="'variance_levels': sigma values must be >= 0"):
+            small_reliability(variance_levels=(-1.0, 1.0))
+
     def test_single_mu_level_rejected(self):
         with pytest.raises(InvalidConfig, match="mu_levels"):
             small_validity(mu_levels=(1.0,))
 
+    def test_single_magnitude_mu_rejected(self):
+        with pytest.raises(InvalidConfig, match="field 'magnitude_mus': need at least 2"):
+            SegmentReliabilityConfig(demand=DEMAND, magnitude_mus=(5.0,), window=24)
+
     def test_bad_direction(self):
         with pytest.raises(InvalidConfig, match="direction"):
             small_validity(direction="diagonal")
+        with pytest.raises(InvalidConfig, match="field 'error_directions'"):
+            small_reliability(error_directions="diagonal")
 
     def test_unknown_metric(self):
         with pytest.raises(InvalidConfig, match="metrics"):
             small_reliability(metrics=("mae", "nope"))
+
+    @pytest.mark.parametrize("metrics,named", [((), "at least one"), (("mae", "mae"), "duplicate")])
+    def test_empty_or_duplicate_metrics_rejected(self, metrics, named):
+        with pytest.raises(InvalidConfig, match=f"field 'metrics': {named}"):
+            small_reliability(metrics=metrics)
+
+    def test_window_longer_than_demand_rejected(self):
+        with pytest.raises(InvalidConfig, match="field 'window': 49 exceeds"):
+            SegmentReliabilityConfig(demand=DEMAND, magnitude_mus=(5.0, 20.0), window=49)
 
     @pytest.mark.parametrize(
         "make,field", [(small_reliability, "error_mu"), (small_validity, "sigma")]
@@ -145,6 +164,9 @@ class TestConfigValidation:
             "variance_levels": [0.5, 1.5],
         }
         with pytest.raises(InvalidConfig, match="demand"):
+            ReliabilityConfig.from_dict(data)
+        data["demand"] = [48, 5, 1, 10, 2]
+        with pytest.raises(InvalidConfig, match="field 'demand': expected an object"):
             ReliabilityConfig.from_dict(data)
 
     def test_from_dict_rejects_demand_seed(self):

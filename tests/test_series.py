@@ -3,7 +3,13 @@
 import pytest
 
 from demandeval import EvaluationPair
-from demandeval.errors import EmptySeries, LengthMismatch, NegativeValue, NonFiniteValue
+from demandeval.errors import (
+    EmptySeries,
+    LengthMismatch,
+    NegativeValue,
+    NonFiniteValue,
+    SeriesError,
+)
 from demandeval.series import DemandSeries, ForecastSeries
 
 
@@ -16,6 +22,10 @@ class TestValidateSeries:
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
             DemandSeries([])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(SeriesError, match="1-d"):
+            DemandSeries([[1, 2], [3, 4]])
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeValue):

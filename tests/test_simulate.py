@@ -116,6 +116,17 @@ class TestPerturbForecast:
         forecast = perturb_forecast(actual, ErrorInjectionConfig(horizontal_mu=5.0, seed=0))
         assert list(forecast.values) == [0, 0, 0, 5.0]  # both spikes clamp to t=4
 
+    @pytest.mark.parametrize("shift,ends", [
+        ({"horizontal_sigma": 1e300}, (0, 13)),
+        ({"horizontal_mu": 1e19}, (13,)),
+        ({"horizontal_mu": -1e308}, (0,)),
+    ])
+    def test_shifts_past_int64_land_on_an_end(self, shift, ends):
+        actual = DemandSeries(ACTUAL)
+        forecast = perturb_forecast(actual, ErrorInjectionConfig(seed=4, **shift))
+        assert set(np.flatnonzero(forecast.values).tolist()) <= set(ends)
+        assert forecast.values.sum() == actual.values.sum()
+
     def test_volume_preserved_away_from_boundaries(self):
         rng = np.random.default_rng(3)
         actual = generate_demand(_config(n=200, count_mu=8.0, seed=17))

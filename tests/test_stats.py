@@ -4,6 +4,7 @@ Where the routines reimplement textbook statistics, scipy serves as the
 independent reference implementation.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from demandeval.errors import (
     GroupTooSmall,
     InvalidDegreesOfFreedom,
     LengthMismatch,
+    StatsError,
     TooFewGroups,
 )
+from demandeval.experiments import ExperimentReport
 from demandeval.stats import f_sf, levene, mean, pearson, variance
 
 
@@ -29,6 +32,12 @@ class TestDescriptives:
 
     def test_variance_sample_denominator(self):
         assert variance([1, 2, 3, 4]) == pytest.approx(5.0 / 3.0)
+
+    def test_too_few_observations(self):
+        with pytest.raises(StatsError, match="empty"):
+            mean([])
+        with pytest.raises(StatsError, match="at least two"):
+            variance([1.0])
 
 
 class TestPearson:
@@ -74,6 +83,19 @@ class TestLevene:
         assert result.p == pytest.approx(1.0, abs=1e-12)
         assert result.df1 == 1
         assert result.df2 == 8
+
+    @pytest.mark.parametrize(
+        "groups,w,p,json_w",
+        [([[0, 2], [1, 3]], 0.0, 1.0, 0.0), ([[0, 2], [0, 4]], math.inf, 0.0, "inf")],
+        ids=["equal-spreads", "unequal-spreads"],
+    )
+    def test_no_spread_within_groups(self, groups, w, p, json_w):
+        result = levene(groups)
+        assert (result.w, result.p) == (w, p)
+        report = ExperimentReport(
+            kind="segment-reliability", seed=0, config={}, levels=(), metrics={}, levene=result
+        )
+        assert json.loads(report.to_json())["levene"]["w"] == json_w
 
     def test_clearly_unequal_spreads(self):
         result = levene([[0, 0, 0, 0, 10, 10, 10, 10], [4, 5, 5, 6, 4, 5, 5, 6]])
@@ -137,6 +159,11 @@ class TestFTail:
 
     def test_infinite_statistic(self):
         assert f_sf(math.inf, 2, 2) == 0.0
+
+    @pytest.mark.parametrize("x,named", [(math.nan, "NaN"), (-0.5, ">= 0")])
+    def test_invalid_statistic(self, x, named):
+        with pytest.raises(StatsError, match=named):
+            f_sf(x, 2, 2)
 
     def test_invalid_dof(self):
         with pytest.raises(InvalidDegreesOfFreedom):
