@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .csvio import (
-    RunManifest,
     decomposition_to_csv,
     dump_json,
     parse_pair_csv,
@@ -115,18 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params(args: argparse.Namespace) -> SpecParams:
-    return SpecParams(alpha1=args.alpha1, alpha2=args.alpha2)
-
-
-def _manifest(command: str, config: dict, seeds: dict, outputs) -> RunManifest:
-    return RunManifest(
-        command=command,
-        version=__version__,
-        config=config,
-        seeds=seeds,
-        outputs=tuple(str(o) for o in outputs),
-    )
+def _manifest(command: str, config: dict, seeds: dict, outputs) -> dict:
+    """Everything needed to reproduce one command bit for bit."""
+    return {"command": command, "version": __version__, "config": config, "seeds": seeds,
+            "outputs": [str(o) for o in outputs]}
 
 
 def _write_table_and_chart(args: argparse.Namespace, config: dict, table: str, chart) -> None:
@@ -138,13 +129,13 @@ def _write_table_and_chart(args: argparse.Namespace, config: dict, table: str, c
         Path(args.svg).write_text(chart(), encoding="utf-8")
         outputs.append(Path(args.svg))
     out_path.with_suffix(out_path.suffix + ".manifest.json").write_text(
-        _manifest(args.command, config, {}, outputs).to_json(), encoding="utf-8"
+        dump_json(_manifest(args.command, config, {}, outputs)), encoding="utf-8"
     )
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     pair = parse_pair_csv(args.input)
-    params = _params(args)
+    params = SpecParams(args.alpha1, args.alpha2)
     metrics = None
     if args.metrics is not None:
         metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
@@ -167,7 +158,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     pair = parse_pair_csv(args.input)
-    params = _params(args)
+    params = SpecParams(args.alpha1, args.alpha2)
     breakdown = spec_decompose(pair, params)
     _write_table_and_chart(
         args,
@@ -222,7 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pair_path = out_dir / "pair.csv"
     write_pair_csv(pair, pair_path)
     (out_dir / "manifest.json").write_text(
-        _manifest("simulate", settings, seeds, [pair_path]).to_json(), encoding="utf-8"
+        dump_json(_manifest("simulate", settings, seeds, [pair_path])), encoding="utf-8"
     )
     return 0
 
@@ -235,7 +226,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     payload["manifest"] = _manifest(
         f"experiment {args.kind}", {"config_file": args.config}, {"seed": report.seed},
         [out_path],
-    ).to_dict()
+    )
     out_path.write_text(dump_json(payload), encoding="utf-8")
     return 0
 
@@ -245,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DemandEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DemandEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

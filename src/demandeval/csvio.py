@@ -1,4 +1,4 @@
-"""CSV and JSON ingestion/export plus run manifests.
+"""CSV and JSON ingestion and export.
 
 Pair CSVs are the canonical input format: UTF-8, header ``t,actual,forecast``,
 decimal point ``.``, 1-based contiguous time index, any newline convention.
@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO
 
@@ -57,11 +57,6 @@ def render_value(value: ExtendedValue, digits: int | None = None) -> str:
     if digits is None:
         return format_number(value.value)
     return format(value.value, f".{digits}f")
-
-
-def value_to_json(value: ExtendedValue):
-    """JSON form: a number rounded to report precision, or 'inf'/'undef'."""
-    return json_number(float(format_number(value.value)))
 
 
 def dump_json(payload) -> str:
@@ -173,36 +168,11 @@ def _write_pair_stream(pair: EvaluationPair, stream: IO[str]) -> None:
         )))
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command bit for bit."""
-
-    command: str
-    version: str
-    config: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    outputs: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return dump_json(self.to_dict())
-
-
-def report_to_dict(report: MetricReport, manifest: RunManifest | None = None) -> dict:
-    """JSON-ready metric report: {metrics, params[, manifest]}."""
-    payload: dict = {
-        "metrics": {name: value_to_json(value) for name, value in report.entries.items()},
-        "params": {"alpha1": report.params.alpha1, "alpha2": report.params.alpha2},
-    }
-    if manifest is not None:
-        payload["manifest"] = manifest.to_dict()
-    return payload
-
-
-def report_to_json(report: MetricReport, manifest: RunManifest | None = None) -> str:
-    return dump_json(report_to_dict(report, manifest))
+def report_to_json(report: MetricReport, manifest: dict) -> str:
+    """JSON metric report {metrics, params, manifest}; numbers at report precision."""
+    metrics = {name: json_number(float(format_number(value.value)))
+               for name, value in report.entries.items()}
+    return dump_json({"metrics": metrics, "params": asdict(report.params), "manifest": manifest})
 
 
 def report_to_csv(report: MetricReport) -> str:

@@ -211,15 +211,35 @@ def _fifo_charges(
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
     """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
-    return _fifo_charges(pair, params.alpha1, params.alpha2)[2] / pair.n
+    total = _fifo_charges(pair, params.alpha1, params.alpha2)[2]
+    if math.isnan(total):  # an aggregate overflowed; score each side on its own
+        _, _, opp_total, stock_total = _unit_periods(pair)
+        total = _weigh(params.alpha1, opp_total) + _weigh(params.alpha2, stock_total)
+    return total / pair.n
 
 
 def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Weight-free per-step unit-period charges and their sums per side."""
-    opp, stock, _ = _fifo_charges(pair, 1.0, 1.0)
+    """Weight-free per-step unit-period charges and their sums per side.
+
+    When the cumulative volume overflows the float range, the running
+    aggregates reach inf and a step's charge comes out NaN (inf - inf); that
+    step is charged inf, as :func:`spec_literal` then scores its side inf.
+    """
+    opp, stock, total = _fifo_charges(pair, 1.0, 1.0)
     opp_units = np.array(opp)
     stock_units = np.array(stock)
+    if math.isnan(total):
+        opp_units[np.isnan(opp_units)] = math.inf
+        stock_units[np.isnan(stock_units)] = math.inf
     return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum())
+
+
+def _weigh(alpha: float, units):
+    """``alpha * units``, except that a zero weight drops its side even where
+    that side overflowed to inf (``0 * inf`` is NaN)."""
+    if alpha:
+        return alpha * units
+    return np.zeros_like(units) if isinstance(units, np.ndarray) else 0.0
 
 
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:
@@ -229,11 +249,11 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     aggregates let any other weighting be evaluated without rescoring.
     """
     opp_units, stock_units, opp_total, stock_total = _unit_periods(pair)
-    per_t_opp = params.alpha1 * opp_units
-    per_t_stock = params.alpha2 * stock_units
+    per_t_opp = _weigh(params.alpha1, opp_units)
+    per_t_stock = _weigh(params.alpha2, stock_units)
     per_t_opp.setflags(write=False)
     per_t_stock.setflags(write=False)
-    value = (params.alpha1 * opp_total + params.alpha2 * stock_total) / pair.n
+    value = (_weigh(params.alpha1, opp_total) + _weigh(params.alpha2, stock_total)) / pair.n
     return CostBreakdown(
         per_t_opportunity=per_t_opp,
         per_t_stock=per_t_stock,
@@ -258,5 +278,7 @@ def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoi
     for k in range(grid_size):
         a1 = k / (grid_size - 1)
         a2 = 1.0 - a1
-        points.append(AlphaSweepPoint(a1, a2, (a1 * opp_total + a2 * stock_total) / n))
+        points.append(
+            AlphaSweepPoint(a1, a2, (_weigh(a1, opp_total) + _weigh(a2, stock_total)) / n)
+        )
     return points

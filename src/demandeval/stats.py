@@ -3,7 +3,8 @@
 Kept deliberately small: Pearson correlation, Levene's homogeneity-of-variance
 test with F-distribution p-values, and the descriptive aggregates they need.
 Accumulation uses ``math.fsum`` (compensated summation) so long experiment
-outputs do not erode the 1e-9 comparison tolerances used in tests.
+outputs do not erode the 1e-9 comparison tolerances used in tests; a sum
+that leaves the float range raises :class:`StatsError`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,22 @@ class LeveneResult:
     p: float
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, with a float-range overflow raised as :class:`StatsError`.
+
+    ``values`` may be a generator; an ``OverflowError`` it raises (``x ** 2``
+    past the float range) is reported the same way.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # ValueError: -inf + inf
+        raise StatsError("statistic overflows the float range") from None
+
+
 def mean(xs: Sequence[float]) -> float:
     if len(xs) == 0:
         raise StatsError("mean of an empty sequence")
-    return math.fsum(xs) / len(xs)
+    return _fsum(xs) / len(xs)
 
 
 def variance(xs: Sequence[float]) -> float:
@@ -47,8 +60,8 @@ def variance(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise StatsError("variance needs at least two observations")
-    m = math.fsum(xs) / n
-    return math.fsum((x - m) ** 2 for x in xs) / (n - 1)
+    m = _fsum(xs) / n
+    return _fsum((x - m) ** 2 for x in xs) / (n - 1)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
@@ -61,14 +74,17 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
         raise LengthMismatch(f"sequences have lengths {n} and {len(ys)}")
     if n < 2:
         raise DegenerateInput("correlation needs at least two observations")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
+    mx = _fsum(xs) / n
+    my = _fsum(ys) / n
+    sxy = _fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = _fsum((x - mx) ** 2 for x in xs)
+    syy = _fsum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("correlation is undefined for a constant sequence")
-    r = sxy / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    if scale == math.inf:  # the product overflows; its factors need not
+        scale = math.sqrt(sxx) * math.sqrt(syy)
+    r = sxy / scale
     # float rounding may push |r| a hair past 1 on exactly affine data
     r = max(-1.0, min(1.0, r))
     return CorrelationResult(r=r, n=n)
@@ -87,16 +103,16 @@ def levene(groups: Sequence[Sequence[float]]) -> LeveneResult:
         raise GroupTooSmall("every group needs at least 2 observations")
     total = sum(sizes)
 
-    centers = [math.fsum(g) / len(g) for g in groups]
+    centers = [_fsum(g) / len(g) for g in groups]
     z = [[abs(x - c) for x in g] for g, c in zip(groups, centers)]
-    z_group_means = [math.fsum(zj) / len(zj) for zj in z]
-    z_grand_mean = math.fsum(math.fsum(zj) for zj in z) / total
+    z_group_means = [_fsum(zj) / len(zj) for zj in z]
+    z_grand_mean = _fsum(_fsum(zj) for zj in z) / total
 
-    between = math.fsum(
+    between = _fsum(
         size * (zm - z_grand_mean) ** 2 for size, zm in zip(sizes, z_group_means)
     )
-    within = math.fsum(
-        math.fsum((x - zm) ** 2 for x in zj) for zj, zm in zip(z, z_group_means)
+    within = _fsum(
+        _fsum((x - zm) ** 2 for x in zj) for zj, zm in zip(z, z_group_means)
     )
     df1 = k - 1
     df2 = total - k
@@ -149,8 +165,8 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-12) -> float:
-    tiny = 1e-300
+def _beta_cf(a: float, b: float, x: float) -> float:
+    tiny, eps, max_iter = 1e-300, 1e-12, 300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0

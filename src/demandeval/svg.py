@@ -47,7 +47,7 @@ def _axes(x_label: str, y_label: str, y_max: float) -> list[str]:
     ]
 
 
-def render_decomposition_svg(breakdown: CostBreakdown, title: str = "Cost per time step") -> str:
+def render_decomposition_svg(breakdown: CostBreakdown) -> str:
     """Bar chart of per-step costs; one <g> group per time step.
 
     When there are more steps than pixel columns in the plot, consecutive
@@ -98,12 +98,10 @@ def render_decomposition_svg(breakdown: CostBreakdown, title: str = "Cost per ti
         f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN - 6}" text-anchor="end" font-size="11" '
         f'fill="{_STOCK_COLOR}">stock</text>'
     )
-    return _document(body, title)
+    return _document(body, "Cost per time step")
 
 
-def render_sweep_svg(
-    curves: dict[str, list[AlphaSweepPoint]], title: str = "Score vs cost weighting"
-) -> str:
+def render_sweep_svg(curves: dict[str, list[AlphaSweepPoint]]) -> str:
     """Polyline chart of score against alpha1 for one or more inputs."""
     y_max = max(
         (point.spec_value for curve in curves.values() for point in curve), default=0.0
@@ -127,4 +125,4 @@ def render_sweep_svg(
             f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN + 14 * idx}" text-anchor="end" '
             f'font-size="11" fill="{color}">{escape(label)}</text>'
         )
-    return _document(body, title)
+    return _document(body, "Score vs cost weighting")

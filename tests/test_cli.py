@@ -1,11 +1,16 @@
 """End-to-end command line behaviour (in-process, via main())."""
 
+import hashlib
 import json
+import platform
+import shutil
 import time
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from demandeval.cli import main
 
 
@@ -101,6 +106,15 @@ class TestScore:
             assert run_cli("score", "--input", str(path), "--format", fmt) == 0
             captured = capsys.readouterr()
             assert rmsse_line in captured.out.splitlines() and captured.err == ""
+
+    def test_overflowing_volume_scores_spec_inf(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text("t,actual,forecast\n1,1e308,0\n2,1e308,0\n3,0,1e308\n")
+        for fmt, spec_line in (("table", "SPEC  inf"), ("csv", "spec,inf"),
+                               ("json", '    "spec": "inf"')):
+            assert run_cli("score", "--input", str(path), "--metrics", "spec", "--format", fmt) == 0
+            captured = capsys.readouterr()
+            assert spec_line in captured.out.splitlines() and captured.err == ""
 
     @pytest.mark.parametrize(
         "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
@@ -433,9 +447,85 @@ class TestExperimentCommand:
         assert code == 2
         assert "field 'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind,fields",
+        [("reliability", {"variance_levels": [0.5, 1.5]}),
+         ("validity", {"direction": "vertical", "mu_levels": [0, 1e199, 2e199], "sigma": 1e198}),
+         ("cost-validity", {"variance_levels": [0.5, 1.5]})],
+    )
+    def test_statistic_overflow_exit_2(self, tmp_path, capsys, kind, fields):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 12, "count_mu": 4, "count_sigma": 0.5,
+                       "magnitude_mu": 1e200, "magnitude_sigma": 1e199},
+            "series_count": 2, "forecasts_per_series": 3, "metrics": ["mae", "spec"],
+            "seed": 1, **fields,
+        })
+        code = run_cli("experiment", kind, "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "overflows the float range" in capsys.readouterr().err
+
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         code = run_cli("experiment", "reliability", "--config", str(cfg),
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
+
+
+#: SHA-256 of every file the CLI writes for the shipped fixtures and the
+#: simulate example, run from a directory that holds copies of them under
+#: their repo-relative names (so every path in a manifest is relative). Floats
+#: are reproducible only within one installation, so the pins hold for the
+#: interpreter/numpy pair below and the check is skipped on any other.
+GOLDEN_CLI_INSTALLATION = ("3.11.7", "2.4.6")
+GOLDEN_CLI_ARTIFACTS = {
+    "score model_a table": "8d77f6f464aa82e6ed94aff1a85a371cd9cb511c6908cf4dec90a5d9a301c3d2",
+    "score model_a json": "53d0a6c70a7e932f74316024c4f4377dd86d8d2199bceac5683b11c4d241e2cd",
+    "score model_a csv": "ec8d91a33345d53f884a36db9ad54309ef2d9602491bff5015dcb64a972792d8",
+    "score model_b table": "a175a8235f7d215c1cdadeaa1a05c94e9b9304808297785b663e707b0a9173e1",
+    "score model_b json": "be328025c731683c084f5e96aa31ef80e258b2ad645cbb1f8c4fd42fcb32fc17",
+    "score model_b csv": "2b607e51b258a716cefa186705e8489f9e8af772543883fe94a7aba2211c708c",
+    "out/model_a.csv": "a30bde4abd3a0565bedbf86bb7fafdde7e6eb775e9cf62a14daa89967e1a865a",
+    "out/model_a.csv.manifest.json": "c5d992c04804f484c632a71c50764c0ad13eb9496182d95487ee2c3e483e820d",
+    "out/model_a.svg": "d6cf90e0c579a4ca88299b56347824db7828ef711e661a433a64b328b807a3bd",
+    "out/model_b.csv": "d1fd75380b491f9271dc63adc7221c33c2354a4cbe80661a38569937928c90b7",
+    "out/model_b.csv.manifest.json": "a4d9e675d3aeee32fde77d955f1acd8ba43366bdd4468cd5e98bbe3c438f2644",
+    "out/model_b.svg": "c1f03f8bb2fa2dcb5e628f08d36aed4610f14f844410eaeed508a2eb8d5bb4ff",
+    "out/simulate/manifest.json": "15922235ae6295103111480ce785eb3bfb8cfa34a1020f6ba262e13bc3d9b41e",
+    "out/simulate/pair.csv": "050c2ed09f1f7bfd50da07f154b815f2d0f726b354e696fe9c3ed7595e8a741a",
+    "out/sweep.csv": "8a8eb4e5cd8e61ec488ef067ea803878f74c3c6c5ea2716b2ad54fbb64abbe28",
+    "out/sweep.csv.manifest.json": "0d9d002b8eca5d360ae6be8d15fab1e6b5347c640796352edf6c4abc16ccaf4c",
+    "out/sweep.svg": "cfd442bf4b4066629f3fb8ed8fe6e24125593ddbee3edbcff52cb1516fde37e5",
+}
+
+
+def test_golden_cli_artifacts(tmp_path, monkeypatch, capsys):
+    installation = (platform.python_version(), np.__version__)
+    if installation != GOLDEN_CLI_INSTALLATION:
+        pytest.skip(
+            f"CLI artifact digests are pinned for Python/numpy {GOLDEN_CLI_INSTALLATION}, "
+            f"this is {installation}; floats are reproducible only within an installation"
+        )
+    for name in ("fixtures/model_a.csv", "fixtures/model_b.csv", "configs/simulate_example.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        shutil.copyfile(REPO_ROOT / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    written = {}
+    for model in ("model_a", "model_b"):
+        pair_csv = f"fixtures/{model}.csv"
+        for fmt in ("table", "json", "csv"):
+            assert run_cli("score", "--input", pair_csv, "--format", fmt) == 0
+            written[f"score {model} {fmt}"] = capsys.readouterr().out.encode("utf-8")
+        assert run_cli("decompose", "--input", pair_csv, "--out", f"out/{model}.csv",
+                       "--svg", f"out/{model}.svg") == 0
+    assert run_cli("sweep", "--input", "fixtures/model_a.csv", "--input", "fixtures/model_b.csv",
+                   "--out", "out/sweep.csv", "--svg", "out/sweep.svg") == 0
+    assert run_cli("simulate", "--config", "configs/simulate_example.json",
+                   "--out-dir", "out/simulate") == 0
+    assert capsys.readouterr() == ("", "")
+    for path in sorted((tmp_path / "out").rglob("*")):
+        if path.is_file():
+            written[path.relative_to(tmp_path).as_posix()] = path.read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+    assert digests == GOLDEN_CLI_ARTIFACTS

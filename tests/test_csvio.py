@@ -14,7 +14,6 @@ from demandeval import EvaluationPair, compute_all, spec_alpha_sweep, spec_decom
 from demandeval.errors import DemandEvalError, EmptySeries, MalformedRow, NonContiguousTime
 from demandeval.csvio import (
     PAIR_HEADER,
-    RunManifest,
     _parse_pair_stream,
     decomposition_to_csv,
     format_number,
@@ -22,7 +21,6 @@ from demandeval.csvio import (
     read_json_config,
     render_value,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     report_to_table,
     sweep_to_csv,
@@ -267,13 +265,12 @@ class TestRenderings:
 
     def test_report_json_shape(self, model_a_pair):
         report = compute_all(model_a_pair)
-        manifest = RunManifest(command="score", version="0.0.0")
-        payload = report_to_dict(report, manifest)
+        manifest = {"command": "score", "version": "0.0.0"}
+        payload = json.loads(report_to_json(report, manifest))  # must be valid JSON
         assert payload["metrics"]["mape"] == "inf"
         assert payload["metrics"]["spec"] == pytest.approx(0.142857)
         assert payload["params"] == {"alpha1": 0.75, "alpha2": 0.25}
         assert payload["manifest"]["command"] == "score"
-        json.loads(report_to_json(report, manifest))  # must be valid JSON
 
     def test_report_csv(self, model_a_pair):
         text = report_to_csv(compute_all(model_a_pair))

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demandeval import EvaluationPair, SpecParams, spec_decompose, spec_fast
+from demandeval import (
+    EvaluationPair,
+    SpecParams,
+    compute_all,
+    spec_alpha_sweep,
+    spec_decompose,
+    spec_fast,
+    spec_literal,
+)
 from demandeval.metrics import mape
 
 quantities = st.lists(
@@ -99,3 +108,28 @@ def test_positive_whenever_cumulative_paths_diverge():
             assert value > 0.0
         else:
             assert value == 0.0
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["owed", "held"])
+def test_overflowing_volume_matches_reference(mirrored):
+    """A side whose cumulative volume overflows scores inf unless its weight is 0."""
+    actual, forecast = [1e308, 1e308, 0.0], [0.0, 0.0, 1e308]
+    if mirrored:
+        actual, forecast = forecast, actual
+    pair = EvaluationPair.from_values(actual, forecast)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = spec_alpha_sweep(pair, 3)
+        for point in sweep:
+            weights = SpecParams(point.alpha1, point.alpha2)
+            expected = spec_literal(pair, weights)
+            assert not math.isnan(expected)
+            breakdown = spec_decompose(pair, weights)
+            assert spec_fast(pair, weights) == expected
+            assert compute_all(pair, weights, ("spec",)).entries["spec"].value == expected
+            assert breakdown.spec_value == expected == point.spec_value
+            steps = breakdown.per_t_opportunity + breakdown.per_t_stock
+            assert not np.isnan(steps).any() and steps.sum() == expected * pair.n
+    assert [point.spec_value for point in sweep] == (
+        [math.inf, math.inf, 0.0] if mirrored else [0.0, math.inf, math.inf]
+    )

@@ -39,6 +39,16 @@ class TestDescriptives:
         with pytest.raises(StatsError, match="at least two"):
             variance([1.0])
 
+    @pytest.mark.parametrize(
+        "statistic", [lambda: variance([1e300, -1e300, 3e300]), lambda: mean([1e308, 1e308]),
+                      lambda: pearson([1e300, -1e300], [1.0, 2.0]),
+                      lambda: levene([[math.inf, -math.inf], [1.0, 2.0]])],
+        ids=["variance", "mean", "pearson", "levene"],
+    )
+    def test_float_range_overflow(self, statistic):
+        with pytest.raises(StatsError, match="overflows the float range"):
+            statistic()
+
 
 class TestPearson:
     def test_perfect_positive(self):
@@ -74,6 +84,13 @@ class TestPearson:
             assert pearson(xs, ys).r == pytest.approx(
                 scipy.stats.pearsonr(xs, ys).statistic, abs=1e-12
             )
+
+    def test_product_of_sums_overflows(self):
+        xs = [1e150, 2e150, 3e150, 4e150]
+        ys = [1e150, 2.1e150, 2.9e150, 4e150]
+        expected = np.corrcoef(np.array(xs) / 1e150, np.array(ys) / 1e150)[0, 1]
+        assert pearson(xs, ys).r == pytest.approx(expected, abs=1e-12)
+
 
 
 class TestLevene:
