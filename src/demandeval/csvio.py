@@ -160,12 +160,23 @@ def _write_pair_stream(pair: EvaluationPair, stream: IO[str]) -> None:
     stream.write(",".join(PAIR_HEADER) + "\n")
     for start in range(0, pair.n, _WRITE_BLOCK):
         stop = min(start + _WRITE_BLOCK, pair.n)
-        stream.write("".join(map(
-            "{},{!r},{!r}\n".format,
-            range(start + 1, stop + 1),
-            pair.actual.values[start:stop].tolist(),
-            pair.forecast.values[start:stop].tolist(),
-        )))
+        rows = stop - start
+        # each row is t "," actual "," forecast "\n"
+        parts = [","] * (6 * rows)
+        parts[0::6] = map(str, range(start + 1, stop + 1))
+        parts[2::6] = _float_texts(pair.actual.values[start:stop])
+        parts[4::6] = _float_texts(pair.forecast.values[start:stop])
+        parts[5::6] = ["\n"] * rows
+        stream.write("".join(parts))
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value; every +0.0 shares one string, so only the rest are rendered."""
+    texts = ["0.0"] * values.size
+    rendered = np.flatnonzero((values != 0) | np.signbit(values))
+    for i, value in zip(rendered.tolist(), values[rendered].tolist()):
+        texts[i] = repr(value)
+    return texts
 
 
 def report_to_json(report: MetricReport, manifest: dict) -> str:

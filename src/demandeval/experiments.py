@@ -4,9 +4,9 @@ The reliability, validity and cost-validity studies all score one stream of
 (seed, perturbed forecast, score) pairs, produced by :func:`_pair_stream`;
 each runner only says which cells to visit and how to reduce the scores.
 Every runner is a pure function of (config, seed): per-task generator seeds
-are derived with numpy ``SeedSequence`` spawn keys, tasks are evaluated in a
-fixed order, and aggregation uses compensated summation, so rerunning a
-config reproduces its report byte for byte.
+are those of numpy ``SeedSequence`` spawn keys (:func:`derive_seed`), tasks
+are evaluated in a fixed order, and aggregation uses compensated summation,
+so rerunning a config reproduces its report byte for byte.
 
 Desk-scale defaults (hundreds of series rather than thousands) are chosen so
 a full study finishes in seconds while keeping Monte-Carlo noise well inside
@@ -16,6 +16,7 @@ the tolerances the test suite asserts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
@@ -54,14 +55,97 @@ PERCENTAGE_METRICS = frozenset({"mape", "mdape", "rmspe", "smape"})
 _DIRECTIONS = ("vertical", "horizontal", "both")
 
 
-def derive_seed(root: int, *key: int) -> int:
-    """Deterministic substream seed: numpy SeedSequence with a spawn key.
+# numpy's SeedSequence constants (pool of 4 uint32 words, hashmix and mix).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Parallel or out-of-order evaluation must use these derived seeds rather
-    than sharing one sequential stream.
+
+def _words(value) -> list[int]:
+    """The little-endian uint32 words of a non-negative integer, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed words must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's ``hashmix`` of one word: the mixed word and the next constant.
+
+    ``value`` is an int or a uint64 array of uint32 words. The constant
+    depends only on how many words were mixed before it, never on their
+    values, so one array carries many keys through the same steps.
     """
-    ss = np.random.SeedSequence(root, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
+    """Deterministic substream seed: ``SeedSequence(root, spawn_key=key)``'s first uint64.
+
+    A port of numpy's ``SeedSequence`` pool mixing, pinned to it by the test
+    suite. When the last key element is a 1-d integer array (each value below
+    2**32), it stands for one key per value and the list of their seeds is
+    returned, derived in one pass. Parallel or out-of-order evaluation must
+    use these derived seeds rather than sharing one sequential stream.
+    """
+    entropy = _words(root)
+    vector = False
+    if key:  # SeedSequence pads the root to the pool size so it cannot alias a spawn key
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        *prefix, last = key
+        for part in prefix:
+            entropy += _words(part)
+        vector = isinstance(last, np.ndarray)
+        if not vector:
+            entropy += _words(last)
+        elif last.ndim != 1 or last.dtype.kind not in "iu":
+            raise ValueError(f"a key array must be 1-d of integers, got {last.dtype} {last.shape}")
+        elif last.size and (last.min() < 0 or last.max() > _MASK32):
+            raise ValueError("key array values must lie in [0, 2**32)")
+        else:
+            entropy.append(last.astype(np.uint64))
+
+    # mix_entropy: fill the pool, mix every pair, then fold in the extra words
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+
+    # generate_state(1, uint64): two output words from the first two pool words
+    const = _INIT_B
+    halves = []
+    for word in pool[:2]:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        halves.append(word ^ (word >> 16))
+    seed = halves[0] | halves[1] << 32
+    return seed.tolist() if vector else seed
 
 
 def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
@@ -274,7 +358,8 @@ def _pair_stream(
 
     ``cells`` yields ``(demand key, [(level index, mu, sigma, forecast key)])``:
     the demand series is drawn from the seed at the demand key, and forecast
-    ``f`` of a block from the seed at ``forecast key + (f,)``. Each block is
+    ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
+    forecast seeds come from one :func:`derive_seed` call. Each block is
     yielded as ``(level index, {metric: values in forecast order}, costs)``,
     where ``costs`` holds the warehouse cost of each forecast when
     ``cost_params`` is given and is empty otherwise. Non-finite values stay
@@ -285,18 +370,20 @@ def _pair_stream(
         for l_idx, mu, sigma, forecast_key in blocks:
             values: dict[str, list[float]] = {m: [] for m in config.metrics}
             costs: list[float] = []
-            for f_idx in range(config.forecasts_per_series):
-                err = _error_config(
-                    direction, mu, sigma, derive_seed(config.seed, *forecast_key, f_idx)
-                )
-                pair = EvaluationPair(actual, perturb_forecast(actual, err))
-                if cost_params is not None:
-                    costs.append(stock_cost(pair, cost_params))
-                for m in config.metrics:
-                    value = compute_metric(m, pair, params).value
-                    values[m].append(value)
-                    if not math.isfinite(value):
-                        bad[m] += 1
+            seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
+            # Values past the float range count as non-finite, without numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for seed in seeds:
+                    pair = EvaluationPair(
+                        actual, perturb_forecast(actual, _error_config(direction, mu, sigma, seed))
+                    )
+                    if cost_params is not None:
+                        costs.append(stock_cost(pair, cost_params))
+                    for m in config.metrics:
+                        value = compute_metric(m, pair, params).value
+                        values[m].append(value)
+                        if not math.isfinite(value):
+                            bad[m] += 1
             yield l_idx, values, costs
 
 

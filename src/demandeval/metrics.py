@@ -41,9 +41,14 @@ def _errors(pair: EvaluationPair) -> np.ndarray:
     return pair.forecast.values - pair.actual.values
 
 
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()`` without its Python wrapper: the same pairwise sum, then one division."""
+    return float(np.add.reduce(x)) / x.size
+
+
 def mae(pair: EvaluationPair) -> ExtendedValue:
     """Mean absolute error."""
-    return ExtendedValue(float(np.abs(_errors(pair)).mean()))
+    return ExtendedValue(_mean(np.abs(_errors(pair))))
 
 
 def mdae(pair: EvaluationPair) -> ExtendedValue:
@@ -54,13 +59,13 @@ def mdae(pair: EvaluationPair) -> ExtendedValue:
 def mse(pair: EvaluationPair) -> ExtendedValue:
     """Mean squared error."""
     e = _errors(pair)
-    return ExtendedValue(float((e * e).mean()))
+    return ExtendedValue(_mean(e * e))
 
 
 def rmse(pair: EvaluationPair) -> ExtendedValue:
     """Root mean squared error."""
     e = _errors(pair)
-    return ExtendedValue(math.sqrt((e * e).mean()))
+    return ExtendedValue(math.sqrt(_mean(e * e)))
 
 
 def _percentage(pair: EvaluationPair, reduce) -> ExtendedValue:
@@ -83,7 +88,7 @@ def _percentage(pair: EvaluationPair, reduce) -> ExtendedValue:
 
 def mape(pair: EvaluationPair) -> ExtendedValue:
     """Mean absolute percentage error (ratio, not multiplied by 100)."""
-    return _percentage(pair, np.mean)
+    return _percentage(pair, _mean)
 
 
 def mdape(pair: EvaluationPair) -> ExtendedValue:
@@ -93,7 +98,7 @@ def mdape(pair: EvaluationPair) -> ExtendedValue:
 
 def rmspe(pair: EvaluationPair) -> ExtendedValue:
     """Root mean squared percentage error, same term conventions as mape."""
-    return _percentage(pair, lambda t: math.sqrt((t * t).mean()))
+    return _percentage(pair, lambda t: math.sqrt(_mean(t * t)))
 
 
 def smape(pair: EvaluationPair) -> ExtendedValue:
@@ -109,14 +114,14 @@ def smape(pair: EvaluationPair) -> ExtendedValue:
     if not keep.any():
         return ExtendedValue(math.nan)
     terms = np.abs(f[keep] - y[keep]) / denom[keep]
-    return ExtendedValue(float(terms.mean()))
+    return ExtendedValue(_mean(terms))
 
 
 def _naive_abs_scale(pair: EvaluationPair) -> float | None:
     y = pair.actual.values
     if y.size < 2:
         return None
-    return float(np.abs(np.diff(y)).mean())
+    return _mean(np.abs(np.diff(y)))
 
 
 def mase(pair: EvaluationPair) -> ExtendedValue:
@@ -129,7 +134,7 @@ def mase(pair: EvaluationPair) -> ExtendedValue:
     scale = _naive_abs_scale(pair)
     if not scale:
         return ExtendedValue(math.nan)
-    return ExtendedValue(float(np.abs(_errors(pair)).mean() / scale))
+    return ExtendedValue(_mean(np.abs(_errors(pair))) / scale)
 
 
 def rmsse(pair: EvaluationPair) -> ExtendedValue:
@@ -138,11 +143,11 @@ def rmsse(pair: EvaluationPair) -> ExtendedValue:
     if y.size < 2:
         return ExtendedValue(math.nan)
     d = np.diff(y)
-    scale_sq = float((d * d).mean())
+    scale_sq = _mean(d * d)
     if scale_sq == 0.0:
         return ExtendedValue(math.nan)
     e = _errors(pair)
-    return ExtendedValue(math.sqrt((e * e).mean() / scale_sq))
+    return ExtendedValue(math.sqrt(_mean(e * e) / scale_sq))
 
 
 _METRIC_FUNCS = {

@@ -22,6 +22,9 @@ from .series import DemandSeries, ForecastSeries
 #: number of nonzero steps stays exactly as sampled.
 MAGNITUDE_FLOOR = 1.0
 
+#: Steps of the actual whose spikes :func:`perturb_forecast` perturbs at once.
+_SPIKE_BLOCK = 65_536
+
 
 def _check_finite(name: str, value: float) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -127,19 +130,34 @@ def perturb_forecast(actual: DemandSeries, config: ErrorInjectionConfig) -> Fore
     Spikes are processed in time order; per spike the horizontal offset is
     drawn before the vertical one. Offsets are rounded to the nearest step
     (ties to even) and clamped to the horizon; magnitudes are floored at 0.
+
+    The normals of all spikes come from one draw: even draws are the
+    horizontal offsets and odd ones the vertical errors, the order of one
+    ``rng.normal`` call each per spike, and ``mu + sigma * z`` is what
+    ``Generator.normal`` computes. The per-spike arithmetic is done on
+    Python floats, which at the studies' handful of spikes per series costs
+    less than a chain of numpy calls and never warns on overflow. A long
+    series is drawn ``_SPIKE_BLOCK`` steps at a time from the same
+    generator, so its temporaries stay small.
     """
-    rng = np.random.default_rng(config.seed)
     y = actual.values
-    n = actual.n
+    n = y.size
+    rng = np.random.default_rng(config.seed)
     out = np.zeros(n)
-    for pos in np.flatnonzero(y).tolist():
-        shift = rng.normal(config.horizontal_mu, config.horizontal_sigma)
-        if not -n < shift < n:  # clamp before rounding: a draw may exceed any int64
-            shift = math.copysign(n, shift)
-        target = min(max(pos + round(shift), 0), n - 1)
-        magnitude = y[pos] + rng.normal(config.vertical_mu, config.vertical_sigma)
-        if magnitude > 0:
-            out[target] += magnitude
+    h_mu, h_sigma = config.horizontal_mu, config.horizontal_sigma
+    v_mu, v_sigma = config.vertical_mu, config.vertical_sigma
+    for start in range(0, n, _SPIKE_BLOCK):
+        positions = np.flatnonzero(y[start : start + _SPIKE_BLOCK]) + start
+        draws = rng.standard_normal(2 * positions.size).tolist()
+        spikes = zip(positions.tolist(), y[positions].tolist(), draws[0::2], draws[1::2])
+        for pos, value, h_draw, v_draw in spikes:
+            shift = h_mu + h_sigma * h_draw
+            if not -n < shift < n:  # clamp before rounding: a draw may exceed any int64
+                shift = math.copysign(n, shift)
+            magnitude = value + (v_mu + v_sigma * v_draw)
+            if magnitude > 0:
+                target = min(max(pos + round(shift), 0), n - 1)
+                out[target] = out.item(target) + magnitude
     return ForecastSeries(out)
 
 

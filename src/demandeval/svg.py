@@ -7,6 +7,7 @@ text labels) so the files stay small and diffable.
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -30,6 +31,11 @@ def _document(body: list[str], title: str) -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
+
+
+def _finite_max(values: list[float]) -> float:
+    """The top of the y axis: the largest finite value; an infinite one is drawn clipped there."""
+    return max([1e-12] + [v for v in values if math.isfinite(v)])
 
 
 def _axes(x_label: str, y_label: str, y_max: float) -> list[str]:
@@ -62,7 +68,7 @@ def render_decomposition_svg(breakdown: CostBreakdown) -> str:
     edges = np.arange(bins + 1) * n // bins
     opps = np.add.reduceat(breakdown.per_t_opportunity, edges[:-1])
     stocks = np.add.reduceat(breakdown.per_t_stock, edges[:-1])
-    y_max = max(float((opps + stocks).max()), 1e-12)
+    y_max = _finite_max((opps + stocks).tolist())
     slot = plot_w / bins
     bar_w = max(slot * 0.7, 1.0)
 
@@ -77,7 +83,7 @@ def render_decomposition_svg(breakdown: CostBreakdown) -> str:
         base = _HEIGHT - _MARGIN
         for amount, color in ((stock, _STOCK_COLOR), (opp, _OPP_COLOR)):
             if amount > 0:
-                h = amount / y_max * plot_h
+                h = min(amount / y_max * plot_h, base - _MARGIN)
                 parts.append(
                     f'<rect x="{x:.2f}" y="{base - h:.2f}" width="{bar_w:.2f}" '
                     f'height="{h:.2f}" fill="{color}"/>'
@@ -103,10 +109,7 @@ def render_decomposition_svg(breakdown: CostBreakdown) -> str:
 
 def render_sweep_svg(curves: dict[str, list[AlphaSweepPoint]]) -> str:
     """Polyline chart of score against alpha1 for one or more inputs."""
-    y_max = max(
-        (point.spec_value for curve in curves.values() for point in curve), default=0.0
-    )
-    y_max = max(y_max, 1e-12)
+    y_max = _finite_max([point.spec_value for curve in curves.values() for point in curve])
     plot_w = _WIDTH - 2 * _MARGIN
     plot_h = _HEIGHT - 2 * _MARGIN
 
@@ -115,7 +118,7 @@ def render_sweep_svg(curves: dict[str, list[AlphaSweepPoint]]) -> str:
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
         points = " ".join(
             f"{_MARGIN + p.alpha1 * plot_w:.2f},"
-            f"{_HEIGHT - _MARGIN - p.spec_value / y_max * plot_h:.2f}"
+            f"{_HEIGHT - _MARGIN - min(p.spec_value / y_max, 1.0) * plot_h:.2f}"
             for p in curve
         )
         body.append(

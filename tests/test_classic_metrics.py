@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from demandeval import DemandEvalError, EvaluationPair, compute_all
@@ -10,6 +11,7 @@ from demandeval.errors import InvalidParams
 from demandeval.metrics import (
     METRIC_NAMES,
     MetricReport,
+    _mean,
     mae,
     mape,
     mase,
@@ -181,3 +183,18 @@ class TestComputeAll:
     def test_empty_selection(self, model_a_pair):
         with pytest.raises(InvalidParams, match="no metrics"):
             compute_all(model_a_pair, metrics=())
+
+
+def test_mean_is_ndarray_mean_bit_for_bit():
+    rng = np.random.default_rng(31)
+    scales = [1.0, 1e-3, 1e10, 1e300, 1.7e308]
+    for _ in range(20_000):
+        size = int(rng.choice([1, 2, 3, 7, 8, 9, 95, 96, 127, 128, 129, 1000]))
+        # values and sums past the float range are inf or nan, the same either way
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = rng.standard_normal(size) * rng.choice(scales)
+            if rng.random() < 0.2:
+                x[rng.random(size) < 0.5] = 0.0
+            got, want = _mean(x), x.mean()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), x

@@ -151,6 +151,26 @@ class TestDecompose:
         assert manifest["outputs"] == [str(out), str(svg)]
 
 
+def test_infinite_costs_draw_clipped_charts(tmp_path, model_a_csv):
+    pair = tmp_path / "inf.csv"
+    pair.write_text("t,actual,forecast\n1,1e308,0\n2,1e308,0\n3,0,1e308\n")
+    svg = tmp_path / "steps.svg"
+    assert run_cli("decompose", "--input", str(pair), "--out", str(tmp_path / "steps.csv"),
+                   "--svg", str(svg)) == 0
+    text = svg.read_text()
+    assert "nan" not in text
+    assert text.count('data-opportunity="inf"') == 3
+    assert text.count('height="264.00"') == 3  # each infinite bar fills the plot
+    svg = tmp_path / "sweep.svg"
+    assert run_cli("sweep", "--input", str(pair), "--input", model_a_csv,
+                   "--out", str(tmp_path / "sweep.csv"), "--svg", str(svg)) == 0
+    text = svg.read_text()
+    assert "nan" not in text
+    polylines = ET.fromstring(text).findall("{http://www.w3.org/2000/svg}polyline")
+    heights = {float(point.split(",")[1]) for point in polylines[1].get("points").split()}
+    assert len(heights) > 50  # model_a's finite curve keeps its shape
+
+
 class TestSweep:
     def test_crossing_curves(self, model_a_csv, model_b_csv, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -463,6 +483,20 @@ class TestExperimentCommand:
         code = run_cli("experiment", kind, "--config", str(cfg), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_scoring_overflow_prints_only_the_error(self, tmp_path, capsys):
+        # rmse squares errors near 1e300: the scores overflow before the statistic does
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 12, "count_mu": 4, "count_sigma": 0.5,
+                       "magnitude_mu": 1e300, "magnitude_sigma": 1e299},
+            "variance_levels": [0.5, 1.5], "series_count": 2, "forecasts_per_series": 3,
+            "metrics": ["mae", "spec", "mape", "rmse"], "seed": 1,
+        })
+        code = run_cli("experiment", "reliability", "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: statistic overflows the float range\n"
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ reduced counts so the whole module stays fast.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from demandeval import (
@@ -64,6 +65,52 @@ class TestSeedDerivation:
     def test_distinct_streams(self):
         seeds = {derive_seed(1, i, j) for i in range(20) for j in range(20)}
         assert len(seeds) == 400
+
+    @staticmethod
+    def _numpy_seed(root, *key):
+        return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
+
+    def test_matches_seed_sequence(self):
+        rng = np.random.default_rng(11)
+        roots = [0, 2**32 - 1, 2**32, 2**64 - 1] + [
+            int(r) for r in rng.integers(0, 2**64, size=12, dtype=np.uint64)
+        ]
+        elements = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**70 + 5]
+        for root in roots:
+            for size in range(5):
+                for _ in range(3):
+                    key = tuple(int(e) for e in rng.choice(elements, size=size))
+                    key += tuple(int(k) for k in rng.integers(0, 2**63, size=size % 2))
+                    assert derive_seed(root, *key) == self._numpy_seed(root, *key), (root, key)
+
+    def test_vector_form_matches_seed_sequence(self):
+        rng = np.random.default_rng(12)
+        values = np.array([0, 1, 2, 49, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=6)])
+        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, *(int(r) for r in rng.integers(0, 2**63, size=4))]
+        prefixes = [(), (0,), (1, 5), (1, 199, 4), (2**32, 3, 2**64 - 1)]
+        for root in roots:
+            for prefix in prefixes:
+                for dtype in (np.int64, np.uint32, np.uint64):
+                    got = derive_seed(root, *prefix, values.astype(dtype))
+                    want = [self._numpy_seed(root, *prefix, int(v)) for v in values]
+                    assert got == want, (root, prefix, dtype)
+                    assert all(type(seed) is int for seed in got)
+        assert derive_seed(3, 1, np.arange(0)) == []
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, 2**32]),
+        np.array([-1, 0]),
+        np.arange(4).reshape(2, 2),
+        np.array(3),
+        np.array([0.0, 1.0]),
+    ])
+    def test_vector_form_rejects_other_arrays(self, values):
+        with pytest.raises(ValueError):
+            derive_seed(1, 2, values)
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError):
+            derive_seed(1, -2)
 
 
 class TestConfigValidation:

@@ -1,5 +1,8 @@
 """Demand generation, error injection, naive forecasting, and extracts."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from demandeval import (
     perturb_forecast,
     spec_fast,
 )
-from demandeval.errors import InvalidConfig, WindowTooLarge
+from demandeval import simulate
+from demandeval.errors import InvalidConfig, NonFiniteValue, WindowTooLarge
 from demandeval.series import DemandSeries
 from demandeval.simulate import naive_forecast, segment_extracts
 from conftest import ACTUAL, MODEL_A_FORECAST
@@ -116,6 +120,7 @@ class TestPerturbForecast:
         forecast = perturb_forecast(actual, ErrorInjectionConfig(horizontal_mu=5.0, seed=0))
         assert list(forecast.values) == [0, 0, 0, 5.0]  # both spikes clamp to t=4
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shift,ends", [
         ({"horizontal_sigma": 1e300}, (0, 13)),
         ({"horizontal_mu": 1e19}, (13,)),
@@ -126,6 +131,61 @@ class TestPerturbForecast:
         forecast = perturb_forecast(actual, ErrorInjectionConfig(seed=4, **shift))
         assert set(np.flatnonzero(forecast.values).tolist()) <= set(ends)
         assert forecast.values.sum() == actual.values.sum()
+
+    @staticmethod
+    def _per_spike_twin(actual: DemandSeries, config: ErrorInjectionConfig) -> np.ndarray:
+        """The scalar definition: two ``rng.normal`` calls per spike, in time order."""
+        rng = np.random.default_rng(config.seed)
+        y = actual.values
+        n = actual.n
+        out = np.zeros(n)
+        for pos in np.flatnonzero(y).tolist():
+            shift = rng.normal(config.horizontal_mu, config.horizontal_sigma)
+            if not -n < shift < n:
+                shift = math.copysign(n, shift)
+            target = min(max(pos + round(shift), 0), n - 1)
+            magnitude = y[pos] + rng.normal(config.vertical_mu, config.vertical_sigma)
+            if magnitude > 0:
+                out[target] += magnitude
+        return out
+
+    @pytest.mark.parametrize("block", [simulate._SPIKE_BLOCK, 5])
+    def test_matches_per_spike_twin(self, monkeypatch, block):
+        monkeypatch.setattr(simulate, "_SPIKE_BLOCK", block)  # 5: spikes drawn over many blocks
+        rng = np.random.default_rng(23)
+        horizontal = [(0.0, 0.5), (1.5, 2.5), (-3.0, 40.0), (0.5, 0.0), (200.0, 1.0),
+                      (0.0, 1e300), (1e19, 0.0), (-1e19, 2.0), (-1e308, 0.0)]
+        vertical = [(0.0, 1.0), (-5.0, 3.0), (2.0, 0.0), (1e19, 1.0), (-1e308, 0.0),
+                    (0.0, 1e300)]
+        magnitudes = [1.0, 10.0, 0.5, 1e308]
+        checked = 0
+        for case in range(3600):
+            n = int(rng.choice([1, 2, 3, 14, 96]))
+            values = np.zeros(n)
+            count = int(rng.integers(0, n + 1))  # 0 gives an all-zero actual
+            values[rng.choice(n, size=count, replace=False)] = rng.choice(magnitudes, size=count)
+            actual = DemandSeries(values)
+            h_mu, h_sigma = horizontal[int(rng.integers(len(horizontal)))]
+            v_mu, v_sigma = vertical[int(rng.integers(len(vertical)))]
+            direction = case % 3  # vertical, horizontal, both
+            if direction == 0:
+                h_mu = h_sigma = 0.0
+            elif direction == 1:
+                v_mu = v_sigma = 0.0
+            config = ErrorInjectionConfig(v_mu, v_sigma, h_mu, h_sigma, seed=int(rng.integers(2**63)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = self._per_spike_twin(actual, config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not np.isfinite(want).all():
+                    with pytest.raises(NonFiniteValue):
+                        perturb_forecast(actual, config)
+                    continue
+                got = perturb_forecast(actual, config).values
+            assert got.tobytes() == want.tobytes(), (values, config)
+            checked += 1
+        assert checked >= 3000
 
     def test_volume_preserved_away_from_boundaries(self):
         rng = np.random.default_rng(3)
