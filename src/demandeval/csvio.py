@@ -51,12 +51,12 @@ def json_number(x: float):
 
 
 def render_value(value: ExtendedValue, digits: int | None = None) -> str:
-    """Render an extended metric value as report text."""
+    """Report text of a value; with ``digits`` decimals, in exponent form from 1e16."""
     if not value.is_finite:
         return json_number(value.value)
     if digits is None:
         return format_number(value.value)
-    return format(value.value, f".{digits}f")
+    return format(value.value, f".{digits}{'e' if abs(value.value) >= 1e16 else 'f'}")
 
 
 def dump_json(payload) -> str:

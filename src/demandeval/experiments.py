@@ -76,7 +76,7 @@ def _words(value) -> list[int]:
     return words
 
 
-def _hashmix(value, const: int):
+def _hashmix(value, const: int, mult: int = _MULT_A):
     """SeedSequence's ``hashmix`` of one word: the mixed word and the next constant.
 
     ``value`` is an int or a uint64 array of uint32 words. The constant
@@ -84,7 +84,7 @@ def _hashmix(value, const: int):
     values, so one array carries many keys through the same steps.
     """
     value = value ^ const
-    const = const * _MULT_A & _MASK32
+    const = const * mult & _MASK32
     value = value * const & _MASK32
     return value ^ (value >> 16), const
 
@@ -137,14 +137,9 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
             pool[dst] = _mix(pool[dst], word)
 
     # generate_state(1, uint64): two output words from the first two pool words
-    const = _INIT_B
-    halves = []
-    for word in pool[:2]:
-        word = word ^ const
-        const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        halves.append(word ^ (word >> 16))
-    seed = halves[0] | halves[1] << 32
+    low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hashmix(pool[1], const, _MULT_B)
+    seed = low | high << 32
     return seed.tolist() if vector else seed
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, spec_fast
+from .spec import DEFAULT_PARAMS, SpecParams, _scaled, spec_fast
 
 
 @dataclass(frozen=True)
@@ -117,34 +117,27 @@ def smape(pair: EvaluationPair) -> ExtendedValue:
     return ExtendedValue(_mean(terms))
 
 
-def _naive_abs_scale(pair: EvaluationPair) -> float | None:
-    y = pair.actual.values
-    if y.size < 2:
-        return None
-    return _mean(np.abs(np.diff(y)))
-
-
 def mase(pair: EvaluationPair) -> ExtendedValue:
     """Mean absolute scaled error.
 
     Scaled by the in-sample one-step naive forecast over the same window:
     mae / (sum_{t=2..n} |y_t - y_{t-1}| / (n-1)). Undefined when the actual
-    series is constant (zero scale).
+    series is constant (zero scale). A scale past the float range gives NaN,
+    not a false 0, and :func:`compute_metric` then rescores the pair.
     """
-    scale = _naive_abs_scale(pair)
-    if not scale:
+    y = pair.actual.values
+    scale = _mean(np.abs(np.diff(y))) if y.size > 1 else 0.0
+    if not 0.0 < scale < math.inf:
         return ExtendedValue(math.nan)
     return ExtendedValue(_mean(np.abs(_errors(pair))) / scale)
 
 
 def rmsse(pair: EvaluationPair) -> ExtendedValue:
-    """Root mean squared scaled error, the squared-error analogue of mase."""
+    """Root mean squared scaled error, the squared-error analogue of mase, NaN where mase is."""
     y = pair.actual.values
-    if y.size < 2:
-        return ExtendedValue(math.nan)
     d = np.diff(y)
-    scale_sq = _mean(d * d)
-    if scale_sq == 0.0:
+    scale_sq = _mean(d * d) if y.size > 1 else 0.0
+    if not 0.0 < scale_sq < math.inf:
         return ExtendedValue(math.nan)
     e = _errors(pair)
     return ExtendedValue(math.sqrt(_mean(e * e) / scale_sq))
@@ -166,16 +159,25 @@ _METRIC_FUNCS = {
 #: Report order for the full metric set.
 METRIC_NAMES = (*_METRIC_FUNCS, "spec")
 
+#: Degree in the quantities of each metric whose sums can overflow where its value does not.
+_DEGREES = {"mae": 1, "mdae": 1, "mse": 2, "rmse": 1, "mase": 0, "rmsse": 0}
+
 
 def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> ExtendedValue:
-    """Evaluate a single metric by report name."""
+    """Evaluate a single metric by report name; a non-finite value is rescored
+    on the pair scaled by a power of two (see :func:`demandeval.spec._scaled`)."""
     if name == "spec":
         return ExtendedValue(spec_fast(pair, params))
     try:
         func = _METRIC_FUNCS[name]
     except KeyError:
         raise InvalidParams(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}") from None
-    return func(pair)
+    result = func(pair)
+    if math.isfinite(result.value) or name not in _DEGREES:
+        return result
+    scaled, k = _scaled(pair)
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return ExtendedValue(float(np.ldexp(func(scaled).value, _DEGREES[name] * k)))
 
 
 def compute_all(

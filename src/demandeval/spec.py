@@ -209,37 +209,40 @@ def _fifo_charges(
     return opp, stock, total
 
 
+def _scaled(pair: EvaluationPair) -> tuple[EvaluationPair, int]:
+    """The pair scaled by 2**-k below 1, k the binary exponent of its largest value.
+
+    Scaling by a power of two is exact away from subnormals, so an overflowing
+    score of degree d is the scaled pair's score times 2**(d*k), inf only when
+    its exact value exceeds the float range."""
+    y, f = pair.actual.values, pair.forecast.values
+    k = int(np.frexp(max(y.max(), f.max()))[1])
+    return EvaluationPair.from_values(np.ldexp(y, -k), np.ldexp(f, -k)), k
+
+
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
     """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
     total = _fifo_charges(pair, params.alpha1, params.alpha2)[2]
-    if math.isnan(total):  # an aggregate overflowed; score each side on its own
-        _, _, opp_total, stock_total = _unit_periods(pair)
-        total = _weigh(params.alpha1, opp_total) + _weigh(params.alpha2, stock_total)
-    return total / pair.n
+    if math.isfinite(total):
+        return total / pair.n
+    scaled, k = _scaled(pair)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_fifo_charges(scaled, params.alpha1, params.alpha2)[2] / pair.n, k))
 
 
-def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Weight-free per-step unit-period charges and their sums per side.
+def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """Weight-free per-step unit-period charges, their sums per side, and k.
 
-    When the cumulative volume overflows the float range, the running
-    aggregates reach inf and a step's charge comes out NaN (inf - inf); that
-    step is charged inf, as :func:`spec_literal` then scores its side inf.
+    The charges are those of the pair scaled by 2**-k (see :func:`_scaled`);
+    k is 0 unless the pair's own charges overflow the float range.
     """
     opp, stock, total = _fifo_charges(pair, 1.0, 1.0)
-    opp_units = np.array(opp)
-    stock_units = np.array(stock)
-    if math.isnan(total):
-        opp_units[np.isnan(opp_units)] = math.inf
-        stock_units[np.isnan(stock_units)] = math.inf
-    return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum())
-
-
-def _weigh(alpha: float, units):
-    """``alpha * units``, except that a zero weight drops its side even where
-    that side overflowed to inf (``0 * inf`` is NaN)."""
-    if alpha:
-        return alpha * units
-    return np.zeros_like(units) if isinstance(units, np.ndarray) else 0.0
+    k = 0
+    if not math.isfinite(total):
+        scaled, k = _scaled(pair)
+        opp, stock, _ = _fifo_charges(scaled, 1.0, 1.0)
+    opp_units, stock_units = np.array(opp), np.array(stock)
+    return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum()), k
 
 
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:
@@ -248,12 +251,15 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     The weighted per-step arrays sum to ``n * spec_value``; the unit-period
     aggregates let any other weighting be evaluated without rescoring.
     """
-    opp_units, stock_units, opp_total, stock_total = _unit_periods(pair)
-    per_t_opp = _weigh(params.alpha1, opp_units)
-    per_t_stock = _weigh(params.alpha2, stock_units)
+    opp_units, stock_units, opp_total, stock_total, k = _unit_periods(pair)
+    a1, a2 = params.alpha1, params.alpha2
+    value = (a1 * opp_total + a2 * stock_total) / pair.n
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        per_t_opp = np.ldexp(a1 * opp_units, k)
+        per_t_stock = np.ldexp(a2 * stock_units, k)
+        opp_total, stock_total, value = np.ldexp([opp_total, stock_total, value], k).tolist()
     per_t_opp.setflags(write=False)
     per_t_stock.setflags(write=False)
-    value = (_weigh(params.alpha1, opp_total) + _weigh(params.alpha2, stock_total)) / pair.n
     return CostBreakdown(
         per_t_opportunity=per_t_opp,
         per_t_stock=per_t_stock,
@@ -272,13 +278,9 @@ def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoi
     """
     if not isinstance(grid_size, int) or grid_size < 2:
         raise InvalidParams(f"grid_size must be an integer >= 2, got {grid_size!r}")
-    _, _, opp_total, stock_total = _unit_periods(pair)
-    n = pair.n
-    points = []
-    for k in range(grid_size):
-        a1 = k / (grid_size - 1)
-        a2 = 1.0 - a1
-        points.append(
-            AlphaSweepPoint(a1, a2, (_weigh(a1, opp_total) + _weigh(a2, stock_total)) / n)
-        )
-    return points
+    _, _, opp_total, stock_total, k = _unit_periods(pair)
+    alphas = [i / (grid_size - 1) for i in range(grid_size)]
+    values = [(a1 * opp_total + (1.0 - a1) * stock_total) / pair.n for a1 in alphas]
+    with np.errstate(over="ignore"):  # a score past the float range is inf
+        values = np.ldexp(values, k).tolist()
+    return [AlphaSweepPoint(a1, 1.0 - a1, value) for a1, value in zip(alphas, values)]

@@ -172,13 +172,46 @@ class TestComputeAll:
             compute_all(model_a_pair, metrics=("mae", "nope"))
 
     def test_overflow_is_non_finite_without_warnings(self):
+        """Only a value whose exact result exceeds the float range is inf."""
         pair = EvaluationPair.from_values([1e200, 0], [0, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = compute_all(pair)
-        assert report.entries["mse"].value == report.entries["rmse"].value == math.inf
-        assert math.isnan(report.entries["rmsse"].value)
-        assert not report.entries["rmsse"].is_finite
+        assert report.entries["mse"].value == math.inf  # exactly 1e400
+        assert not report.entries["mse"].is_finite
+        # the same scores on the pair scaled by 2**-665, scaled back
+        scaled = EvaluationPair.from_values(np.ldexp([1e200, 0], -665), np.ldexp([0, 1e200], -665))
+        assert report.entries["rmse"].value == np.ldexp(rmse(scaled).value, 665)
+        assert report.entries["rmse"].value == pytest.approx(1e200, rel=1e-15)
+        assert report.entries["rmsse"].value == rmsse(scaled).value == 1.0
+
+    def test_sums_past_the_float_range_keep_finite_means(self):
+        # actual 1e305 on odd steps and forecast 1e305 on even steps: every sum overflows
+        up = np.arange(2000) % 2 == 0
+        pair = EvaluationPair.from_values(np.where(up, 1e305, 0.0), np.where(up, 0.0, 1e305))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = compute_all(pair).entries
+        assert entries["mae"].value == 9.999999999999995e304
+        assert entries["mdae"].value == entries["rmse"].value == 1e305
+        assert entries["mase"].value == 0.9999999999999996
+        assert entries["rmsse"].value == 1.0
+        assert entries["mse"].value == math.inf
+
+    def test_overflowing_naive_scale_is_not_a_false_zero(self):
+        # every naive step is 1e305, so the scale sums overflow; the error sums do not
+        up = np.arange(2000) % 2 == 0
+        actual = np.where(up, 1e305, 0.0)
+        forecast = actual.copy()
+        forecast[0] += 1e153
+        pair = EvaluationPair.from_values(actual, forecast)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = compute_all(pair, metrics=("mase", "rmsse")).entries
+        assert entries["mase"].value == pytest.approx(1e153 / 2000 / 1e305, rel=1e-12)
+        assert entries["rmsse"].value == pytest.approx(math.sqrt(1e306 / 2000 / 1e305 / 1e305), rel=1e-12)
+        with np.errstate(over="ignore"):
+            assert math.isnan(mase(pair).value) and math.isnan(rmsse(pair).value)
 
     def test_empty_selection(self, model_a_pair):
         with pytest.raises(InvalidParams, match="no metrics"):

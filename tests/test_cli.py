@@ -101,20 +101,36 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.err == ""
         metrics = json.loads(captured.out, parse_constant=reject)["metrics"]
-        assert (metrics["mse"], metrics["rmse"], metrics["rmsse"]) == ("inf", "inf", "undef")
-        for fmt, rmsse_line in (("table", "RMSSE undef"), ("csv", "rmsse,undef")):
+        # mse is exactly 1e400; rmse and rmsse are finite and computed without overflow
+        assert (metrics["mse"], metrics["rmse"], metrics["rmsse"]) == ("inf", 1e200, 1)
+        for fmt, lines in (("table", ["MSE   inf", "RMSE  1.000e+200", "RMSSE 1.000"]),
+                           ("csv", ["mse,inf", "rmse,1e+200", "rmsse,1"])):
             assert run_cli("score", "--input", str(path), "--format", fmt) == 0
             captured = capsys.readouterr()
-            assert rmsse_line in captured.out.splitlines() and captured.err == ""
+            assert set(lines) <= set(captured.out.splitlines()) and captured.err == ""
+
+    def test_overflowing_sums_keep_finite_means(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        up = np.arange(2000) % 2 == 0
+        rows = zip(range(1, 2001), np.where(up, 1e305, 0.0).tolist(), np.where(up, 0.0, 1e305).tolist())
+        path.write_text("t,actual,forecast\n" + "".join(f"{t},{a!r},{f!r}\n" for t, a, f in rows))
+        assert run_cli("score", "--input", str(path), "--format", "json") == 0
+        captured = capsys.readouterr()
+        metrics = json.loads(captured.out)["metrics"]
+        assert (metrics["mae"], metrics["mase"]) == (1e305, 1) and captured.err == ""
 
     def test_overflowing_volume_scores_spec_inf(self, tmp_path, capsys):
+        """The cumulative volume 2e308 overflows. The score 0.75 * 6e308 / 3 = 1.5e308 does not,
+        and 6e308 / 3 with all weight on the owed side does."""
         path = tmp_path / "overflow.csv"
         path.write_text("t,actual,forecast\n1,1e308,0\n2,1e308,0\n3,0,1e308\n")
-        for fmt, spec_line in (("table", "SPEC  inf"), ("csv", "spec,inf"),
-                               ("json", '    "spec": "inf"')):
-            assert run_cli("score", "--input", str(path), "--metrics", "spec", "--format", fmt) == 0
-            captured = capsys.readouterr()
-            assert spec_line in captured.out.splitlines() and captured.err == ""
+        for weights, texts in ((("0.75", "0.25"), ("SPEC  1.500e+308", "spec,1.5e+308", '    "spec": 1.5e+308')),
+                               (("1", "0"), ("SPEC  inf", "spec,inf", '    "spec": "inf"'))):
+            for fmt, spec_line in zip(("table", "csv", "json"), texts):
+                assert run_cli("score", "--input", str(path), "--metrics", "spec", "--format", fmt,
+                               "--alpha1", weights[0], "--alpha2", weights[1]) == 0
+                captured = capsys.readouterr()
+                assert spec_line in captured.out.splitlines() and captured.err == ""
 
     @pytest.mark.parametrize(
         "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
@@ -159,8 +175,13 @@ def test_infinite_costs_draw_clipped_charts(tmp_path, model_a_csv):
                    "--svg", str(svg)) == 0
     text = svg.read_text()
     assert "nan" not in text
-    assert text.count('data-opportunity="inf"') == 3
-    assert text.count('height="264.00"') == 3  # each infinite bar fills the plot
+    # the owed charges are 7.5e307, 0.75 * 3e308 (past the float range) and 1.5e308
+    assert text.count('data-opportunity="inf"') == 1
+    assert text.count('height="264.00"') == 2  # the infinite bar and the largest finite one fill the plot
+    assert text.count('height="132.00"') == 1
+    # 100 batches of 1e308, each owed for 100 periods: past the float range at every alpha1 > 0
+    pair.write_text("t,actual,forecast\n" + "".join(
+        f"{t},{1e308 if t <= 100 else 0},{0 if t <= 100 else 1e308}\n" for t in range(1, 201)))
     svg = tmp_path / "sweep.svg"
     assert run_cli("sweep", "--input", str(pair), "--input", model_a_csv,
                    "--out", str(tmp_path / "sweep.csv"), "--svg", str(svg)) == 0

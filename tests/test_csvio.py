@@ -282,6 +282,17 @@ class TestRenderings:
         assert "SPEC" in table and "0.143" in table
         assert "MAPE" in table and "inf" in table
 
+    def test_report_table_exponent_form_from_1e16(self):
+        assert render_value(ExtendedValue(9999999999999998.0), digits=3) == "9999999999999998.000"
+        assert render_value(ExtendedValue(1e16), digits=3) == "1.000e+16"
+        # actual 1e305 on odd steps and forecast 1e305 on even steps, n = 2,000
+        up = np.arange(2000) % 2 == 0
+        pair = EvaluationPair.from_values(np.where(up, 1e305, 0.0), np.where(up, 0.0, 1e305))
+        lines = report_to_table(compute_all(pair)).splitlines()
+        assert lines[:4] == ["MAE   1.000e+305", "MDAE  1.000e+305", "MSE   inf", "RMSE  1.000e+305"]
+        assert lines[-3:] == ["MASE  1.000", "RMSSE 1.000", "SPEC  3.750e+304"]
+        assert max(map(len, lines)) == 16
+
 
 class TestPlotData:
     def test_decomposition_rows(self, model_b_pair):

@@ -18,7 +18,7 @@ from demandeval import (
     spec_fast,
     spec_literal,
 )
-from demandeval.metrics import mape
+from demandeval.metrics import METRIC_NAMES, mape
 
 quantities = st.lists(
     st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30
@@ -66,12 +66,37 @@ def test_mirror_symmetry(actual, forecast):
     )
 
 
-@given(quantities, quantities, st.sampled_from([0.5, 2.0, 10.0]))
-@settings(max_examples=200)
-def test_positive_homogeneity(actual, forecast, c):
+#: Quantities whose products and differences stay clear of subnormals under 2**-400.
+normal_quantities = st.lists(
+    st.one_of(st.just(0.0), st.integers(1, 100).map(float), st.floats(min_value=1e-3, max_value=100)),
+    min_size=1,
+    max_size=30,
+)
+
+#: Degree of homogeneity in the quantities of each report metric.
+DEGREES = {"mae": 1, "mdae": 1, "mse": 2, "rmse": 1, "mape": 0, "mdape": 0, "rmspe": 0, "smape": 0,
+           "mase": 0, "rmsse": 0, "spec": 1}
+
+
+@given(normal_quantities, normal_quantities, st.integers(-400, 1015))
+@settings(max_examples=300)
+def test_positive_homogeneity(actual, forecast, j):
+    """metric(2**j * pair) == 2**(d*j) * metric(pair) bit for bit, also where a sum overflows."""
     pair = _pair(actual, forecast)
-    scaled = EvaluationPair.from_values(c * pair.actual.values, c * pair.forecast.values)
-    assert spec_fast(scaled) == pytest.approx(c * spec_fast(pair), abs=1e-9, rel=1e-9)
+    scaled = EvaluationPair.from_values(np.ldexp(pair.actual.values, j), np.ldexp(pair.forecast.values, j))
+    assert np.isfinite(scaled.actual.values).all() and np.isfinite(scaled.forecast.values).all()
+    assert tuple(DEGREES) == METRIC_NAMES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compute_all(scaled).entries
+        base = compute_all(pair).entries
+    for name, degree in DEGREES.items():
+        with np.errstate(over="ignore"):
+            want = np.ldexp(base[name].value, degree * j)
+        assert np.float64(got[name].value).tobytes() == want.tobytes() or (
+            math.isnan(want) and math.isnan(got[name].value)), (name, got[name].value, want)
+    tenfold = EvaluationPair.from_values(10 * pair.actual.values, 10 * pair.forecast.values)
+    assert spec_fast(tenfold) == pytest.approx(10 * spec_fast(pair), abs=1e-9, rel=1e-9)
 
 
 @given(quantities, quantities)
@@ -112,24 +137,31 @@ def test_positive_whenever_cumulative_paths_diverge():
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["owed", "held"])
 def test_overflowing_volume_matches_reference(mirrored):
-    """A side whose cumulative volume overflows scores inf unless its weight is 0."""
+    """Only the cumulative volume, 2e308, overflows, so the score is the reference
+    score of the pair scaled by 2**-1024, scaled back: inf only past the float range."""
     actual, forecast = [1e308, 1e308, 0.0], [0.0, 0.0, 1e308]
     if mirrored:
         actual, forecast = forecast, actual
     pair = EvaluationPair.from_values(actual, forecast)
+    scaled = EvaluationPair.from_values(np.ldexp(actual, -1024), np.ldexp(forecast, -1024))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sweep = spec_alpha_sweep(pair, 3)
+        default = spec_decompose(pair, SpecParams(0.25, 0.75) if mirrored else SpecParams())
         for point in sweep:
             weights = SpecParams(point.alpha1, point.alpha2)
-            expected = spec_literal(pair, weights)
-            assert not math.isnan(expected)
+            with np.errstate(over="ignore"):
+                expected = float(np.ldexp(spec_literal(scaled, weights), 1024))
             breakdown = spec_decompose(pair, weights)
             assert spec_fast(pair, weights) == expected
             assert compute_all(pair, weights, ("spec",)).entries["spec"].value == expected
             assert breakdown.spec_value == expected == point.spec_value
-            steps = breakdown.per_t_opportunity + breakdown.per_t_stock
-            assert not np.isnan(steps).any() and steps.sum() == expected * pair.n
+            steps = np.ldexp(breakdown.per_t_opportunity + breakdown.per_t_stock, -1024)
+            assert not np.isnan(steps).any() and steps.sum() == np.ldexp(expected, -1024) * pair.n
+    # exactly (0.75 * 6e308) / 3 with the weights on the overflowing side
+    assert default.spec_value == spec_fast(pair, default.params) == 1.5e308
+    units = (default.opp_unit_periods, default.stock_unit_periods)
+    assert units == ((0.0, math.inf) if mirrored else (math.inf, 0.0))  # 6e308 unit-periods
     assert [point.spec_value for point in sweep] == (
-        [math.inf, math.inf, 0.0] if mirrored else [0.0, math.inf, math.inf]
+        [math.inf, 1e308, 0.0] if mirrored else [0.0, 1e308, math.inf]
     )
