@@ -148,11 +148,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
         manifest = _manifest(
             "score",
             {"input": args.input, "alpha1": params.alpha1, "alpha2": params.alpha2,
-             "metrics": list(report.entries)},
+             "metrics": list(report)},
             {},
             (),
         )
-        sys.stdout.write(report_to_json(report, manifest))
+        sys.stdout.write(report_to_json(report, params, manifest))
     return 0
 
 

@@ -21,9 +21,8 @@ from typing import IO
 import numpy as np
 
 from .errors import EmptySeries, MalformedRow, NonContiguousTime
-from .metrics import ExtendedValue, MetricReport
 from .series import DemandSeries, EvaluationPair, ForecastSeries
-from .spec import AlphaSweepPoint, CostBreakdown
+from .spec import AlphaSweepPoint, CostBreakdown, SpecParams
 
 PAIR_HEADER = ("t", "actual", "forecast")
 _PAIR_DTYPE = [("t", np.int64), ("a", float), ("f", float)]
@@ -50,13 +49,13 @@ def json_number(x: float):
     return UNDEF_TEXT if math.isnan(x) else INF_TEXT
 
 
-def render_value(value: ExtendedValue, digits: int | None = None) -> str:
+def render_value(value: float, digits: int | None = None) -> str:
     """Report text of a value; with ``digits`` decimals, in exponent form from 1e16."""
-    if not value.is_finite:
-        return json_number(value.value)
+    if not math.isfinite(value):
+        return json_number(value)
     if digits is None:
-        return format_number(value.value)
-    return format(value.value, f".{digits}{'e' if abs(value.value) >= 1e16 else 'f'}")
+        return format_number(value)
+    return format(value, f".{digits}{'e' if abs(value) >= 1e16 else 'f'}")
 
 
 def dump_json(payload) -> str:
@@ -179,27 +178,26 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-def report_to_json(report: MetricReport, manifest: dict) -> str:
+def report_to_json(report: dict[str, float], params: SpecParams, manifest: dict) -> str:
     """JSON metric report {metrics, params, manifest}; numbers at report precision."""
-    metrics = {name: json_number(float(format_number(value.value)))
-               for name, value in report.entries.items()}
-    return dump_json({"metrics": metrics, "params": asdict(report.params), "manifest": manifest})
+    metrics = {name: json_number(float(format_number(value))) for name, value in report.items()}
+    return dump_json({"metrics": metrics, "params": asdict(params), "manifest": manifest})
 
 
-def report_to_csv(report: MetricReport) -> str:
+def report_to_csv(report: dict[str, float]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["metric", "value"])
-    for name, value in report.entries.items():
+    for name, value in report.items():
         writer.writerow([name, render_value(value)])
     return buffer.getvalue()
 
 
-def report_to_table(report: MetricReport) -> str:
+def report_to_table(report: dict[str, float]) -> str:
     """Human-oriented listing; values shown with 3 decimals."""
     lines = []
-    width = max(len(name) for name in report.entries)
-    for name, value in report.entries.items():
+    width = max(len(name) for name in report)
+    for name, value in report.items():
         label = "SPEC" if name == "spec" else name.upper()
         lines.append(f"{label:<{max(width, 5)}} {render_value(value, digits=3)}")
     return "\n".join(lines) + "\n"

@@ -387,10 +387,10 @@ def _outcome(metric: str, bad: int, xs, ys, **per_level) -> MetricOutcome:
     if bad:
         return MetricOutcome(metric=metric, not_calculable=f"{bad} non-finite metric values")
     try:
-        corr = pearson(xs, ys)
+        r = pearson(xs, ys)
     except DegenerateInput:
         return MetricOutcome(metric=metric, not_calculable="degenerate correlation input", **per_level)
-    return MetricOutcome(metric=metric, r=corr.r, n=corr.n, **per_level)
+    return MetricOutcome(metric=metric, r=r, n=len(xs), **per_level)
 
 
 def _series_cells(config: ReliabilityConfig):

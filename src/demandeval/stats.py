@@ -24,12 +24,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    n: int
-
-
-@dataclass(frozen=True)
 class LeveneResult:
     w: float
     df1: int
@@ -64,7 +58,7 @@ def variance(xs: Sequence[float]) -> float:
     return _fsum((x - m) ** 2 for x in xs) / (n - 1)
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
     Raises DegenerateInput when either sequence is constant.
@@ -84,10 +78,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     scale = math.sqrt(sxx * syy)
     if scale == math.inf:  # the product overflows; its factors need not
         scale = math.sqrt(sxx) * math.sqrt(syy)
-    r = sxy / scale
     # float rounding may push |r| a hair past 1 on exactly affine data
-    r = max(-1.0, min(1.0, r))
-    return CorrelationResult(r=r, n=n)
+    return max(-1.0, min(1.0, sxy / scale))
 
 
 def levene(groups: Sequence[Sequence[float]]) -> LeveneResult:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demandeval import EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
+from demandeval import DEFAULT_PARAMS, EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
 from demandeval.errors import DemandEvalError, EmptySeries, MalformedRow, NonContiguousTime
 from demandeval.csvio import (
     PAIR_HEADER,
@@ -26,7 +26,6 @@ from demandeval.csvio import (
     sweep_to_csv,
     write_pair_csv,
 )
-from demandeval.metrics import ExtendedValue
 from conftest import random_pair
 
 
@@ -260,13 +259,13 @@ class TestRenderings:
         assert format_number(9.0) == "9"
 
     def test_pinned_non_finite_text(self):
-        assert render_value(ExtendedValue(math.inf)) == "inf"
-        assert render_value(ExtendedValue(math.nan)) == "undef"
+        assert render_value(math.inf) == "inf"
+        assert render_value(math.nan) == "undef"
 
     def test_report_json_shape(self, model_a_pair):
         report = compute_all(model_a_pair)
         manifest = {"command": "score", "version": "0.0.0"}
-        payload = json.loads(report_to_json(report, manifest))  # must be valid JSON
+        payload = json.loads(report_to_json(report, DEFAULT_PARAMS, manifest))  # must be valid JSON
         assert payload["metrics"]["mape"] == "inf"
         assert payload["metrics"]["spec"] == pytest.approx(0.142857)
         assert payload["params"] == {"alpha1": 0.75, "alpha2": 0.25}
@@ -283,8 +282,8 @@ class TestRenderings:
         assert "MAPE" in table and "inf" in table
 
     def test_report_table_exponent_form_from_1e16(self):
-        assert render_value(ExtendedValue(9999999999999998.0), digits=3) == "9999999999999998.000"
-        assert render_value(ExtendedValue(1e16), digits=3) == "1.000e+16"
+        assert render_value(9999999999999998.0, digits=3) == "9999999999999998.000"
+        assert render_value(1e16, digits=3) == "1.000e+16"
         # actual 1e305 on odd steps and forecast 1e305 on even steps, n = 2,000
         up = np.arange(2000) % 2 == 0
         pair = EvaluationPair.from_values(np.where(up, 1e305, 0.0), np.where(up, 0.0, 1e305))
