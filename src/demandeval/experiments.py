@@ -345,8 +345,8 @@ def _pair_stream(
     config: ReliabilityConfig | ValidityConfig,
     direction: str,
     cells,
-    params: SpecParams,
     bad: dict[str, int],
+    params: SpecParams = DEFAULT_PARAMS,
     cost_params: SpecParams | None = None,
 ):
     """Score every forecast of every cell, one (series, level) block at a time.
@@ -402,9 +402,7 @@ def _series_cells(config: ReliabilityConfig):
         ]
 
 
-def run_reliability(
-    config: ReliabilityConfig, params: SpecParams = DEFAULT_PARAMS
-) -> ExperimentReport:
+def run_reliability(config: ReliabilityConfig) -> ExperimentReport:
     """Correlate injected error variance with the variance of each metric.
 
     Per (series, level), the metric's variance is taken across that series'
@@ -415,9 +413,7 @@ def run_reliability(
     levels = config.variance_levels
     bad = dict.fromkeys(config.metrics, 0)
     block_variances = {m: [[] for _ in levels] for m in config.metrics}
-    for l_idx, values, _ in _pair_stream(
-        config, config.error_directions, _series_cells(config), params, bad
-    ):
+    for l_idx, values, _ in _pair_stream(config, config.error_directions, _series_cells(config), bad):
         for m, block in values.items():
             block_variances[m][l_idx].append(variance(block))
 
@@ -431,7 +427,7 @@ def run_reliability(
     )
 
 
-def run_validity(config: ValidityConfig, params: SpecParams = DEFAULT_PARAMS) -> ExperimentReport:
+def run_validity(config: ValidityConfig) -> ExperimentReport:
     """Correlate a swept systematic error shift with mean metric scores.
 
     Each level draws its own demand series (seeds derived per level and
@@ -450,7 +446,7 @@ def run_validity(config: ValidityConfig, params: SpecParams = DEFAULT_PARAMS) ->
     )
     bad = dict.fromkeys(config.metrics, 0)
     level_values = {m: [[] for _ in levels] for m in config.metrics}
-    for l_idx, values, _ in _pair_stream(config, config.direction, cells, params, bad):
+    for l_idx, values, _ in _pair_stream(config, config.direction, cells, bad):
         for m, block in values.items():
             level_values[m][l_idx].extend(block)
 
@@ -477,7 +473,6 @@ def run_segment_reliability(
     window: int,
     segments_per_series: int,
     seed: int,
-    params: SpecParams = DEFAULT_PARAMS,
 ) -> ExperimentReport:
     """Compare score spread across extracts of each series vs across series.
 
@@ -495,7 +490,7 @@ def run_segment_reliability(
     for idx, series in enumerate(series_set):
         extracts = segment_extracts(series, window, segments_per_series, derive_seed(seed, 2, idx))
         groups.append(
-            [spec_fast(EvaluationPair(seg, naive_forecast(seg)), params) for seg in extracts]
+            [spec_fast(EvaluationPair(seg, naive_forecast(seg))) for seg in extracts]
         )
 
     levene_result = levene(groups)
@@ -527,9 +522,7 @@ def run_segment_reliability(
     )
 
 
-def run_segment_reliability_config(
-    config: SegmentReliabilityConfig, params: SpecParams = DEFAULT_PARAMS
-) -> ExperimentReport:
+def run_segment_reliability_config(config: SegmentReliabilityConfig) -> ExperimentReport:
     """Generate structurally distinct series per config, then group-score them."""
     series_set = [
         generate_demand(
@@ -537,9 +530,7 @@ def run_segment_reliability_config(
         )
         for idx, mu in enumerate(config.magnitude_mus)
     ]
-    report = run_segment_reliability(
-        series_set, config.window, config.segments_per_series, config.seed, params
-    )
+    report = run_segment_reliability(series_set, config.window, config.segments_per_series, config.seed)
     return replace(report, config=asdict(config))
 
 
@@ -560,7 +551,7 @@ def run_cost_validity(
     metric_values: dict[str, list[float]] = {m: [] for m in config.metrics}
     costs: list[float] = []
     for _, values, block_costs in _pair_stream(
-        config, config.error_directions, _series_cells(config), metric_params, bad, cost_params
+        config, config.error_directions, _series_cells(config), bad, metric_params, cost_params
     ):
         costs.extend(block_costs)
         for m, block in values.items():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, _scaled, spec_fast
+from .spec import DEFAULT_PARAMS, SpecParams, spec_fast
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,48 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / x.size
 
 
+def _mean_square(x: np.ndarray) -> float:
+    return _mean(x * x)
+
+
+def _root_mean_square(x: np.ndarray) -> float:
+    return math.sqrt(_mean_square(x))
+
+
+def _rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
+    """``reduce(*xs)``, of degree ``degrees[i]`` in ``xs[i]``, ``inf`` only when
+    its exact value exceeds the float range: a non-finite result is taken again
+    on each x scaled by 2**-k, k the binary exponent of its largest |x|, and
+    scaled back by 2**(sum of degree * k). Scaling by a power of two is exact
+    away from subnormals, so a result that did not overflow keeps its bits.
+    """
+    value = reduce(*xs)
+    if math.isfinite(value):
+        return float(value)
+    ks = [int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) for x in xs]
+    scaled = reduce(*(np.ldexp(x, -k) for x, k in zip(xs, ks)))
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
+
+
 def mae(pair: EvaluationPair) -> float:
     """Mean absolute error."""
-    return _mean(np.abs(_errors(pair)))
+    return _rescued(_mean, np.abs(_errors(pair)))
 
 
 def mdae(pair: EvaluationPair) -> float:
     """Median absolute error."""
-    return float(np.median(np.abs(_errors(pair))))
+    return _rescued(np.median, np.abs(_errors(pair)))
 
 
 def mse(pair: EvaluationPair) -> float:
     """Mean squared error."""
-    e = _errors(pair)
-    return _mean(e * e)
+    return _rescued(_mean_square, _errors(pair), degrees=(2,))
 
 
 def rmse(pair: EvaluationPair) -> float:
     """Root mean squared error."""
-    e = _errors(pair)
-    return math.sqrt(_mean(e * e))
+    return _rescued(_root_mean_square, _errors(pair))
 
 
 def _percentage(pair: EvaluationPair, reduce) -> float:
@@ -66,9 +88,9 @@ def _percentage(pair: EvaluationPair, reduce) -> float:
 
     Steps with y_t = 0 and e_t = 0 are skipped; any step with y_t = 0 and
     e_t != 0 makes the whole percentage-family result positive infinity, and
-    a result with no step left is undefined. Each ``reduce`` has degree 1 in
-    the terms, so a reduction that overflows on finite terms is taken again
-    on the terms scaled by a power of two, and scaled back.
+    a result with no step left is undefined. Where the reduction passes the
+    float range, it is taken again on every term scaled below 1 by one power
+    of two, which also covers a term that itself passed the range.
     """
     y = pair.actual.values
     e = np.abs(_errors(pair))
@@ -78,13 +100,16 @@ def _percentage(pair: EvaluationPair, reduce) -> float:
     keep = ~zero_y
     if not keep.any():
         return math.nan
-    terms = e[keep] / y[keep]
-    value = float(reduce(terms))
-    if math.isfinite(value):
-        return value
-    k = int(np.frexp(terms.max())[1])
+    e, y = e[keep], y[keep]
+    value = reduce(e / y)
+    if value < math.inf:
+        return float(value)
+    # A term is its mantissa ratio times 2**(its exponent difference), so it
+    # is below 1 scaled by 2**-j, j one more than the largest difference.
+    (me, ee), (my, ey) = np.frexp(e), np.frexp(y)
+    j = int((ee - ey).max()) + 1
     with np.errstate(over="ignore"):  # a value past the float range is inf
-        return float(np.ldexp(reduce(np.ldexp(terms, -k)), k))
+        return float(np.ldexp(reduce(np.ldexp(me / my, ee - ey - j)), j))
 
 
 def mape(pair: EvaluationPair) -> float:
@@ -99,7 +124,7 @@ def mdape(pair: EvaluationPair) -> float:
 
 def rmspe(pair: EvaluationPair) -> float:
     """Root mean squared percentage error, same term conventions as mape."""
-    return _percentage(pair, lambda t: math.sqrt(_mean(t * t)))
+    return _percentage(pair, _root_mean_square)
 
 
 def smape(pair: EvaluationPair) -> float:
@@ -124,30 +149,30 @@ def smape(pair: EvaluationPair) -> float:
     return _mean(np.abs(f[keep] - y[keep]) / denom[keep])
 
 
+def _naive_scaled(reduce, e: np.ndarray, steps: np.ndarray, finish=float) -> float:
+    """``finish(reduce(e) / reduce(steps))``, NaN for a constant actual series; a
+    scale past the float range reads NaN, not a false 0, so both are rescued."""
+
+    def ratio(e: np.ndarray, steps: np.ndarray) -> float:
+        scale = reduce(steps) if steps.size else 0.0
+        return finish(reduce(e) / scale) if 0.0 < scale < math.inf else math.nan
+
+    return _rescued(ratio, e, steps, degrees=(1, -1))
+
+
 def mase(pair: EvaluationPair) -> float:
     """Mean absolute scaled error.
 
     Scaled by the in-sample one-step naive forecast over the same window:
-    mae / (sum_{t=2..n} |y_t - y_{t-1}| / (n-1)). Undefined when the actual
-    series is constant (zero scale). A scale past the float range gives NaN,
-    not a false 0, and :func:`compute_metric` then rescores the pair.
+    mae / (sum_{t=2..n} |y_t - y_{t-1}| / (n-1)). Undefined (NaN) only when
+    the actual series is constant.
     """
-    y = pair.actual.values
-    scale = _mean(np.abs(np.diff(y))) if y.size > 1 else 0.0
-    if not 0.0 < scale < math.inf:
-        return math.nan
-    return _mean(np.abs(_errors(pair))) / scale
+    return _naive_scaled(_mean, np.abs(_errors(pair)), np.abs(np.diff(pair.actual.values)))
 
 
 def rmsse(pair: EvaluationPair) -> float:
-    """Root mean squared scaled error, the squared-error analogue of mase, NaN where mase is."""
-    y = pair.actual.values
-    d = np.diff(y)
-    scale_sq = _mean(d * d) if y.size > 1 else 0.0
-    if not 0.0 < scale_sq < math.inf:
-        return math.nan
-    e = _errors(pair)
-    return math.sqrt(_mean(e * e) / scale_sq)
+    """Root mean squared scaled error: sqrt(mse / mean squared naive step), NaN where mase is."""
+    return _naive_scaled(_mean_square, _errors(pair), np.diff(pair.actual.values), math.sqrt)
 
 
 _METRIC_FUNCS = {
@@ -166,29 +191,16 @@ _METRIC_FUNCS = {
 #: Report order for the full metric set.
 METRIC_NAMES = (*_METRIC_FUNCS, "spec")
 
-#: Degree in the quantities of each metric whose sums or denominators can overflow where its value does not.
-_DEGREES = {"mae": 1, "mdae": 1, "mse": 2, "rmse": 1, "mase": 0, "rmsse": 0}
-
 
 def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> ExtendedValue:
-    """Evaluate a single metric by report name; a non-finite value is rescored
-    on the pair scaled by a power of two (see :func:`demandeval.spec._scaled`).
+    """Evaluate a single metric by report name.
 
     The only place a value is wrapped in an :class:`ExtendedValue`, because the
     benchmark tracer reads ``.is_finite`` from this function's result.
     """
-    if name == "spec":
-        return ExtendedValue(spec_fast(pair, params))
-    try:
-        func = _METRIC_FUNCS[name]
-    except KeyError:
-        raise InvalidParams(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}") from None
-    value = func(pair)
-    if not math.isfinite(value) and name in _DEGREES:
-        scaled, k = _scaled(pair)
-        with np.errstate(over="ignore"):  # a value past the float range is inf
-            value = float(np.ldexp(func(scaled), _DEGREES[name] * k))
-    return ExtendedValue(value)
+    if name != "spec" and name not in _METRIC_FUNCS:
+        raise InvalidParams(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
+    return ExtendedValue(spec_fast(pair, params) if name == "spec" else _METRIC_FUNCS[name](pair))
 
 
 def compute_all(

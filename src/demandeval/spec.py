@@ -209,38 +209,33 @@ def _fifo_charges(
     return opp, stock, total
 
 
-def _scaled(pair: EvaluationPair) -> tuple[EvaluationPair, int]:
-    """The pair scaled by 2**-k below 1, k the binary exponent of its largest value.
-
-    Scaling by a power of two is exact away from subnormals, so an overflowing
-    score of degree d is the scaled pair's score times 2**(d*k), inf only when
-    its exact value exceeds the float range."""
+def _charges(pair: EvaluationPair, alpha1: float, alpha2: float) -> tuple[tuple, int]:
+    """:func:`_fifo_charges` of the pair and 0, or, where their total passes the
+    float range, of the pair scaled by 2**-k below 1 and k. Scaling by a power
+    of two is exact away from subnormals, so a cost of degree d is the scaled
+    pair's cost times 2**(d*k), inf only when its exact value exceeds the range.
+    """
+    charges = _fifo_charges(pair, alpha1, alpha2)
+    if math.isfinite(charges[2]):
+        return charges, 0
     y, f = pair.actual.values, pair.forecast.values
     k = int(np.frexp(max(y.max(), f.max()))[1])
-    return EvaluationPair.from_values(np.ldexp(y, -k), np.ldexp(f, -k)), k
+    return _fifo_charges(EvaluationPair.from_values(np.ldexp(y, -k), np.ldexp(f, -k)), alpha1, alpha2), k
 
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
     """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
-    total = _fifo_charges(pair, params.alpha1, params.alpha2)[2]
-    if math.isfinite(total):
+    (_, _, total), k = _charges(pair, params.alpha1, params.alpha2)
+    if not k:
         return total / pair.n
-    scaled, k = _scaled(pair)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_fifo_charges(scaled, params.alpha1, params.alpha2)[2] / pair.n, k))
+    with np.errstate(over="ignore"):  # a score past the float range is inf
+        return float(np.ldexp(total / pair.n, k))
 
 
 def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Weight-free per-step unit-period charges, their sums per side, and k.
-
-    The charges are those of the pair scaled by 2**-k (see :func:`_scaled`);
-    k is 0 unless the pair's own charges overflow the float range.
-    """
-    opp, stock, total = _fifo_charges(pair, 1.0, 1.0)
-    k = 0
-    if not math.isfinite(total):
-        scaled, k = _scaled(pair)
-        opp, stock, _ = _fifo_charges(scaled, 1.0, 1.0)
+    """Weight-free per-step unit-period charges of the pair scaled by 2**-k
+    (see :func:`_charges`), their sums per side, and k."""
+    (opp, stock, _), k = _charges(pair, 1.0, 1.0)
     opp_units, stock_units = np.array(opp), np.array(stock)
     return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum()), k
 

@@ -201,26 +201,29 @@ class TestComputeAll:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             entries = compute_all(pair)
-        assert entries["mae"] == 9.999999999999995e304
-        assert entries["mdae"] == entries["rmse"] == 1e305
-        assert entries["mase"] == 0.9999999999999996
-        assert entries["rmsse"] == 1.0
-        assert entries["mse"] == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = {func.__name__: func(pair) for func in ALL_METRICS}
+        for got in (entries, direct):
+            assert got["mae"] == 9.999999999999995e304
+            assert got["mdae"] == got["rmse"] == 1e305
+            assert got["mase"] == 0.9999999999999996
+            assert got["rmsse"] == 1.0
+            assert got["mse"] == math.inf
 
     def test_overflowing_naive_scale_is_not_a_false_zero(self):
         # every naive step is 1e305, so the scale sums overflow; the error sums do not
         up = np.arange(2000) % 2 == 0
         actual = np.where(up, 1e305, 0.0)
         forecast = actual.copy()
-        forecast[0] += 1e153
+        forecast[1] = 1e153  # the one error, on a zero step
         pair = EvaluationPair.from_values(actual, forecast)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             entries = compute_all(pair, metrics=("mase", "rmsse"))
-        assert entries["mase"] == pytest.approx(1e153 / 2000 / 1e305, rel=1e-12)
-        assert entries["rmsse"] == pytest.approx(math.sqrt(1e306 / 2000 / 1e305 / 1e305), rel=1e-12)
+        assert entries["mase"] == pytest.approx(1e153 / 2000 / 1e305, rel=1e-12, abs=0)
+        assert entries["rmsse"] == pytest.approx(math.sqrt(1e306 / 2000 / 1e305 / 1e305), rel=1e-12, abs=0)
         with np.errstate(over="ignore"):
-            assert math.isnan(mase(pair)) and math.isnan(rmsse(pair))
+            assert (mase(pair), rmsse(pair)) == (entries["mase"], entries["rmsse"])
 
     def test_overflowing_smape_denominator_is_not_a_false_zero(self):
         # y + f passes the float range, so the term 1e308 / 2e308 would read 0
@@ -240,19 +243,24 @@ class TestComputeAll:
                 assert smape(pair) == want
 
     @pytest.mark.parametrize(
-        "actual, forecast, term",
-        [([1e-200], [1e-40], 1e-40 / 1e-200), ([1e-10, 1e-10], [1e298, 1e298], 1e298 / 1e-10)],
-        ids=["squares", "sum"],
+        "actual, forecast, want",
+        [
+            ([1e-200], [1e-40], (1e-40 / 1e-200,) * 3),
+            ([1e-10, 1e-10], [1e298, 1e298], (1e298 / 1e-10,) * 3),
+            # one term of 1e310 among 999 zeros; rmspe is exactly 3.16e308, past the float range
+            ([1, 1e-10] + [1] * 998, [1, 1e300] + [1] * 998, (1e307, 0.0, math.inf)),
+        ],
+        ids=["squares", "sum", "term"],
     )
-    def test_percentage_terms_overflowing_in_the_reduction(self, actual, forecast, term):
-        """Every term equals ``term``, a finite float; its square or its sum passes the float range."""
+    def test_percentage_terms_overflowing_in_the_reduction(self, actual, forecast, want):
+        """A term, its square or their sum passes the float range; the score only where its value does."""
         pair = EvaluationPair.from_values(actual, forecast)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = compute_all(pair, metrics=("mape", "mdape", "rmspe"))
-        assert report == {"mape": term, "mdape": term, "rmspe": term}
+        assert tuple(report.values()) == want
         with np.errstate(over="ignore"):
-            assert mape(pair) == mdape(pair) == rmspe(pair) == term
+            assert (mape(pair), mdape(pair), rmspe(pair)) == want
 
     def test_empty_selection(self, model_a_pair):
         with pytest.raises(InvalidParams, match="no metrics"):

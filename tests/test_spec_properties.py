@@ -18,6 +18,7 @@ from demandeval import (
     spec_fast,
     spec_literal,
 )
+from demandeval import metrics
 from demandeval.metrics import METRIC_NAMES, mape
 
 quantities = st.lists(
@@ -95,6 +96,11 @@ def test_positive_homogeneity(actual, forecast, j):
             want = np.ldexp(base[name], degree * j)
         assert np.float64(got[name]).tobytes() == want.tobytes() or (
             math.isnan(want) and math.isnan(got[name])), (name, got[name], want)
+    for name in METRIC_NAMES[:-1]:  # every metric but spec is a function of the pair alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = getattr(metrics, name)(scaled)
+        assert np.float64(direct).tobytes() == np.float64(got[name]).tobytes() or (
+            math.isnan(got[name]) and math.isnan(direct)), (name, direct, got[name])
     tenfold = EvaluationPair.from_values(10 * pair.actual.values, 10 * pair.forecast.values)
     assert spec_fast(tenfold) == pytest.approx(10 * spec_fast(pair), abs=1e-9, rel=1e-9)
 
