@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import IO
@@ -26,6 +27,8 @@ from .spec import AlphaSweepPoint, CostBreakdown, SpecParams
 
 PAIR_HEADER = ("t", "actual", "forecast")
 _PAIR_DTYPE = [("t", np.int64), ("a", float), ("f", float)]
+#: Suffixes of the files ``np.loadtxt`` decompresses when given their path.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 #: Rows per joined string when writing a pair CSV.
 _WRITE_BLOCK = 65_536
@@ -67,16 +70,23 @@ def parse_pair_csv(source: str | Path | IO[str]) -> EvaluationPair:
     """Read an (actual, forecast) pair from a CSV file, path or text stream."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            # loadtxt reads a path in blocks, but it fetches a path that parses
+            # as a URL and decompresses one by its suffix: give it an absolute
+            # path, and none with such a suffix
+            path = os.path.abspath(source)
             try:
-                return _parse_pair_bulk(handle)
+                return _parse_pair_bulk(handle, None if path.endswith(_COMPRESSED) else path)
             except UnicodeDecodeError as exc:
                 raise MalformedRow(f"{source}: not UTF-8 text ({exc})") from None
     return _parse_pair_bulk(io.StringIO(source.read(), newline=""))
 
 
-def _parse_pair_bulk(handle: IO[str]) -> EvaluationPair:
-    """Read the data rows in one ``np.loadtxt`` pass, streaming from ``handle``.
+def _parse_pair_bulk(handle: IO[str], path: str | None = None) -> EvaluationPair:
+    """Read the data rows in one ``np.loadtxt`` pass, from ``path`` when given
+    (``handle`` is open on it), else streaming from ``handle``.
 
+    ``loadtxt`` reads a path in blocks but a handle line by line, so a file
+    is read by path once ``handle`` has checked its header and first row.
     ``loadtxt`` takes a strict subset of what the row loop accepts: no quoted
     fields, no ``_`` in numbers, no whitespace-only lines. Whatever it does
     not take -- and every malformed input -- is read again from the start by
@@ -89,9 +99,16 @@ def _parse_pair_bulk(handle: IO[str]) -> EvaluationPair:
     if tuple(cell.strip().lower() for cell in header.split(",")) == PAIR_HEADER and (
         handle.readline().strip()
     ):
-        handle.seek(body)
+        if path is None:
+            handle.seek(body)
+            source, skiprows = handle, 0
+        else:
+            source, skiprows = path, 1
         try:
-            rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=1, dtype=_PAIR_DTYPE)
+            rows = np.loadtxt(
+                source, delimiter=",", comments=None, ndmin=1, dtype=_PAIR_DTYPE,
+                skiprows=skiprows, encoding="utf-8-sig",
+            )
         except ValueError:  # includes UnicodeDecodeError
             pass
         else:

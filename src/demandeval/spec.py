@@ -9,8 +9,10 @@ been charged 1 + 2 + ... + k times by the end. Owed units are weighted by
 ``alpha1`` (opportunity cost), stored units by ``alpha2`` (stock-keeping
 cost), and the grand total is divided by the series length.
 
-One production kernel computes it: an O(n) FIFO netting loop that yields
-the charge at every step. :func:`spec_fast` (the score),
+One production kernel computes it: an O(n) FIFO walk that nets deliveries
+against demand only at steps with volume and writes the charge at every
+step into two float arrays, so it holds no Python object per step.
+:func:`spec_fast` (the score),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
 the normative reference: a direct O(n^2) transcription of the definition,
@@ -146,19 +148,21 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
 
 def _fifo_charges(
     pair: EvaluationPair, alpha1: float, alpha2: float
-) -> tuple[list[float], list[float], float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Weighted owed and held charges at each step (0-based) and their total.
 
     Maintains FIFO queues of still-open demand and delivery batches, netting
-    them against each other each step. The age-weighted charge for a whole
-    queue is computed in O(1) from the running aggregates sum(q) and
-    sum(q * origin), since sum(q * (t - origin + 1)) = (t+1)*sum(q) - sum(q*origin).
-    The total is accumulated in step order; :func:`spec_fast` returns it
-    divided by n, so its bits depend on that order.
+    them against each other at each step with volume; at any other step at
+    least one queue is empty, so there is nothing to net. The age-weighted
+    charge for a whole queue is computed in O(1) from the running aggregates
+    sum(q) and sum(q * origin), since sum(q * (t - origin + 1)) =
+    (t+1)*sum(q) - sum(q*origin). The charges go into two float arrays, so
+    no Python float is kept per step. The total is accumulated in step order;
+    :func:`spec_fast` returns it divided by n, so its bits depend on that order.
     """
     n = pair.n
-    opp = [0.0] * n
-    stock = [0.0] * n
+    opp, stock = np.zeros(n), np.zeros(n)
+    opp_at, stock_at = memoryview(opp), memoryview(stock)
 
     owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
     held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
@@ -170,41 +174,42 @@ def _fifo_charges(
     # memoryview yields one float at a time; .tolist() would hold 2n at once
     for yt, ft in zip(memoryview(pair.actual.values), memoryview(pair.forecast.values)):
         t += 1
-        if yt > 0.0:
-            owed.append([t, yt])
-            owed_q += yt
-            owed_qt += yt * t
-        if ft > 0.0:
-            held.append([t, ft])
-            held_q += ft
-            held_qt += ft * t
-        while owed and held:
-            d = owed[0]
-            s = held[0]
-            c = d[1] if d[1] <= s[1] else s[1]
-            d[1] -= c
-            s[1] -= c
-            owed_q -= c
-            owed_qt -= c * d[0]
-            held_q -= c
-            held_qt -= c * s[0]
-            if d[1] <= 0.0:
-                owed.popleft()
-            if s[1] <= 0.0:
-                held.popleft()
-        # keep aggregates exactly zero when a queue empties, so float residue
-        # from the subtractions above cannot leak into the charge
-        if not owed:
-            owed_q = owed_qt = 0.0
-        if not held:
-            held_q = held_qt = 0.0
+        if yt > 0.0 or ft > 0.0:
+            if yt > 0.0:
+                owed.append([t, yt])
+                owed_q += yt
+                owed_qt += yt * t
+            if ft > 0.0:
+                held.append([t, ft])
+                held_q += ft
+                held_qt += ft * t
+            while owed and held:
+                d = owed[0]
+                s = held[0]
+                c = d[1] if d[1] <= s[1] else s[1]
+                d[1] -= c
+                s[1] -= c
+                owed_q -= c
+                owed_qt -= c * d[0]
+                held_q -= c
+                held_qt -= c * s[0]
+                if d[1] <= 0.0:
+                    owed.popleft()
+                if s[1] <= 0.0:
+                    held.popleft()
+            # keep aggregates exactly zero when a queue empties, so float residue
+            # from the subtractions above cannot leak into the charge
+            if not owed:
+                owed_q = owed_qt = 0.0
+            if not held:
+                held_q = held_qt = 0.0
         if owed_q > 0.0:
             charge = alpha1 * ((t + 1) * owed_q - owed_qt)
-            opp[t - 1] = charge
+            opp_at[t - 1] = charge
             total += charge
         if held_q > 0.0:
             charge = alpha2 * ((t + 1) * held_q - held_qt)
-            stock[t - 1] = charge
+            stock_at[t - 1] = charge
             total += charge
     return opp, stock, total
 
@@ -235,8 +240,7 @@ def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> floa
 def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """Weight-free per-step unit-period charges of the pair scaled by 2**-k
     (see :func:`_charges`), their sums per side, and k."""
-    (opp, stock, _), k = _charges(pair, 1.0, 1.0)
-    opp_units, stock_units = np.array(opp), np.array(stock)
+    (opp_units, stock_units, _), k = _charges(pair, 1.0, 1.0)
     return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum()), k
 
 

@@ -5,6 +5,10 @@ records: each forecast quantity arrives as a delivery (first filling open
 backorders, oldest first, then shelved as a lot), each demand quantity drains
 the oldest stock first and queues the shortfall as a backorder. At the end of
 every step each open lot or backorder is charged weight * quantity * age.
+The walk streams the two series one step at a time, so it holds no Python
+float per step. Like every score, its cost is ``inf`` only when the exact
+value exceeds the float range: a total past it is taken again on the pair
+scaled by a power of two and scaled back.
 
 It is intentionally a separate code path from the metric evaluators in
 :mod:`demandeval.spec` (no prefix sums, no netting aggregates) so the
@@ -14,7 +18,10 @@ error actually costs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+
+import numpy as np
 
 from .series import EvaluationPair
 from .spec import DEFAULT_PARAMS, SpecParams
@@ -26,17 +33,28 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    y = pair.actual.values.tolist()
-    f = pair.forecast.values.tolist()
-    n = len(y)
-    a1, a2 = params.alpha1, params.alpha2
+    y, f = pair.actual.values, pair.forecast.values
+    total = _warehouse_total(y, f, params.alpha1, params.alpha2)
+    if math.isfinite(total):
+        return total / pair.n
+    # scaling by 2**-k, k the exponent of the largest quantity, is exact away
+    # from subnormals, and the cost scales by the same power of two
+    k = int(np.frexp(max(y.max(), f.max()))[1])
+    total = _warehouse_total(np.ldexp(y, -k), np.ldexp(f, -k), params.alpha1, params.alpha2)
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        return float(np.ldexp(total / pair.n, k))
 
+
+def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:
+    """Summed charges of the warehouse walk over demand ``y`` and deliveries ``f``."""
     lots: deque[list[float]] = deque()  # [arrival_step, qty] on the shelf
     backorders: deque[list[float]] = deque()  # [order_step, qty] owed
 
     total = 0.0
-    for step in range(1, n + 1):
-        arriving = f[step - 1]
+    step = 0
+    # memoryview yields one float at a time; .tolist() would hold 2n at once
+    for leaving, arriving in zip(memoryview(y), memoryview(f)):
+        step += 1
         while arriving > 0.0 and backorders:
             oldest = backorders[0]
             filled = oldest[1] if oldest[1] <= arriving else arriving
@@ -47,7 +65,6 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
         if arriving > 0.0:
             lots.append([step, arriving])
 
-        leaving = y[step - 1]
         while leaving > 0.0 and lots:
             oldest = lots[0]
             taken = oldest[1] if oldest[1] <= leaving else leaving
@@ -62,4 +79,4 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
             total += a2 * qty * (step - arrival_step + 1)
         for order_step, qty in backorders:
             total += a1 * qty * (step - order_step + 1)
-    return total / n
+    return total

@@ -192,6 +192,52 @@ class TestBulkReaderAgreesWithRowLoop:
         _assert_bulk_matches_row_loop(text, tmp_path_factory.getbasetemp() / "property.csv")
 
 
+#: Texts that must read the same from a path, which loadtxt takes in blocks,
+#: and from a stream, which it takes line by line.
+NEWLINE_CORPUS = {
+    "lf": H + "1,2,3\n2,0,1.5\n3,4,0\n",
+    "crlf": H.replace("\n", "\r\n") + "1,2,3\r\n2,0,1.5\r\n3,4,0\r\n",
+    "cr_only": H.replace("\n", "\r") + "1,2,3\r2,0,1.5\r3,4,0\r",
+    "mixed": H.replace("\n", "\r") + "1,2,3\r\n2,0,1.5\n3,4,0\r",
+    "trailing_blank_lines": H + "1,2,3\n2,0,1.5\n\n\r\n\n",
+    "quoted_fields": H + '1,"2",3\n2,0,"1.5"\n',
+    "padded_fields": H + " 1 , 2 ,\t3\n2 ,0, 1.5 \n",
+}
+
+
+class TestPathAndStreamAgree:
+    @pytest.mark.parametrize("text", NEWLINE_CORPUS.values(), ids=NEWLINE_CORPUS.keys())
+    def test_same_pair_from_path_and_stream(self, tmp_path, text):
+        path = tmp_path / "pair.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        from_path = _outcome(parse_pair_csv, path)
+        assert isinstance(from_path[0], bytes)
+        assert from_path == _outcome(parse_pair_csv, str(path))
+        assert from_path == _outcome(parse_pair_csv, io.StringIO(text, newline=""))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
+        # loadtxt would decompress a path by this suffix; the file is plain text
+        path = tmp_path / f"pair.csv{suffix}"
+        path.write_text(NEWLINE_CORPUS["lf"], encoding="utf-8", newline="")
+        assert _outcome(parse_pair_csv, path) == _outcome(
+            parse_pair_csv, io.StringIO(NEWLINE_CORPUS["lf"])
+        )
+
+    def test_local_path_that_parses_as_a_url(self, tmp_path, monkeypatch):
+        # loadtxt would take "http://host/pair.csv" for a URL and fetch it
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a local pair CSV was fetched as a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "pair.csv").write_text(NEWLINE_CORPUS["lf"], encoding="utf-8")
+        assert _outcome(parse_pair_csv, "http://host/pair.csv") == _outcome(
+            parse_pair_csv, io.StringIO(NEWLINE_CORPUS["lf"])
+        )
+
+
 class TestReadJsonConfig:
     @pytest.mark.parametrize(
         "content",

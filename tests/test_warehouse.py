@@ -72,3 +72,16 @@ class TestStockCost:
         # both sides round the same exact integer total divided by n
         assert breakdown.opp_unit_periods / n == spec_fast(pair, SpecParams(1.0, 0.0))
         assert breakdown.stock_unit_periods / n == spec_fast(pair, SpecParams(0.0, 1.0))
+
+    @pytest.mark.parametrize("weights, want", [
+        ((0.75, 0.25), 1.5e308),
+        ((1.0, 0.0), float("inf")),
+        ((0.0, 1.0), 0.0),
+    ])
+    def test_cost_past_the_float_range_only_when_exact_value_is(self, weights, want):
+        # 6e308 unit-periods are owed, past the float range, but 0.75 of
+        # them over 3 steps is 1.5e308 exactly
+        pair = EvaluationPair.from_values([1e308, 1e308, 0], [0, 0, 1e308])
+        params = SpecParams(*weights)
+        assert stock_cost(pair, params) == want
+        assert spec_fast(pair, params) == want
