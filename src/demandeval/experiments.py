@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .csvio import dump_json, json_number
-from .errors import DegenerateInput, InvalidConfig
+from .errors import DegenerateInput, InvalidConfig, StatsError
 from .metrics import METRIC_NAMES, compute_metric
 from .series import DemandSeries, EvaluationPair
 from .simulate import (
@@ -270,7 +270,8 @@ class ValidityConfig:
 
 @dataclass(frozen=True)
 class SegmentReliabilityConfig:
-    """Structurally distinct series whose extracts are scored by group."""
+    """Structurally distinct series whose extracts are scored by group. Series i
+    takes ``magnitude_mus[i]`` as its magnitude mean: ``demand.magnitude_mu`` has no effect."""
 
     demand: DemandGenConfig
     magnitude_mus: tuple[float, ...]
@@ -543,7 +544,7 @@ def run_cost_validity(
 
     ``cost_params`` prices the ground-truth cost; ``metric_params`` (defaults
     to the same weights) parameterizes the scored metric, so a deliberate
-    mismatch between the two can be studied.
+    mismatch between the two can be studied. A cost past the float range raises StatsError.
     """
     if metric_params is None:
         metric_params = cost_params
@@ -556,6 +557,8 @@ def run_cost_validity(
         costs.extend(block_costs)
         for m, block in values.items():
             metric_values[m].extend(block)
+    if not all(map(math.isfinite, costs)):
+        raise StatsError("warehouse cost overflows the float range")
 
     return ExperimentReport(
         kind="cost-validity",

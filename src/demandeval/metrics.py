@@ -208,10 +208,12 @@ def compute_all(
     params: SpecParams = DEFAULT_PARAMS,
     metrics: tuple[str, ...] | list[str] | None = None,
 ) -> dict[str, float]:
-    """Evaluate the requested metrics (default: all) for one pair, in request order."""
+    """Evaluate the requested metrics (default: all; no repeats) for one pair, in request order."""
     names = METRIC_NAMES if metrics is None else tuple(metrics)
     if not names:
         raise InvalidParams("no metrics selected")
+    if len(set(names)) != len(names):
+        raise InvalidParams("duplicate metric names")
     # Values past the float range become inf or nan, which the report renders.
     with np.errstate(over="ignore", invalid="ignore"):
         return {name: compute_metric(name, pair, params).value for name in names}

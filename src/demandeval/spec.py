@@ -147,9 +147,10 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
 
 
 def _fifo_charges(
-    pair: EvaluationPair, alpha1: float, alpha2: float
+    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted owed and held charges at each step (0-based) and their total.
+    """Weighted owed and held charges at each step (0-based) and their total,
+    for demand ``y`` and deliveries ``f``.
 
     Maintains FIFO queues of still-open demand and delivery batches, netting
     them against each other at each step with volume; at any other step at
@@ -160,7 +161,7 @@ def _fifo_charges(
     no Python float is kept per step. The total is accumulated in step order;
     :func:`spec_fast` returns it divided by n, so its bits depend on that order.
     """
-    n = pair.n
+    n = y.size
     opp, stock = np.zeros(n), np.zeros(n)
     opp_at, stock_at = memoryview(opp), memoryview(stock)
 
@@ -172,7 +173,7 @@ def _fifo_charges(
     total = 0.0
     t = 0
     # memoryview yields one float at a time; .tolist() would hold 2n at once
-    for yt, ft in zip(memoryview(pair.actual.values), memoryview(pair.forecast.values)):
+    for yt, ft in zip(memoryview(y), memoryview(f)):
         t += 1
         if yt > 0.0 or ft > 0.0:
             if yt > 0.0:
@@ -214,34 +215,32 @@ def _fifo_charges(
     return opp, stock, total
 
 
-def _charges(pair: EvaluationPair, alpha1: float, alpha2: float) -> tuple[tuple, int]:
-    """:func:`_fifo_charges` of the pair and 0, or, where their total passes the
-    float range, of the pair scaled by 2**-k below 1 and k. Scaling by a power
-    of two is exact away from subnormals, so a cost of degree d is the scaled
-    pair's cost times 2**(d*k), inf only when its exact value exceeds the range.
+def rescued_walk(walk, pair: EvaluationPair, *weights: float) -> tuple[tuple, int]:
+    """``walk(y, f, *weights)`` on the pair's values and 0, or, where the total it
+    returns last passes the float range, the walk of the pair scaled by 2**-k
+    below 1 and k. The scaling is exact away from subnormals, so a cost of
+    degree d is the scaled cost times 2**(d*k), inf only past the range.
     """
-    charges = _fifo_charges(pair, alpha1, alpha2)
-    if math.isfinite(charges[2]):
-        return charges, 0
     y, f = pair.actual.values, pair.forecast.values
+    result = walk(y, f, *weights)
+    if math.isfinite(result[-1]):
+        return result, 0
     k = int(np.frexp(max(y.max(), f.max()))[1])
-    return _fifo_charges(EvaluationPair.from_values(np.ldexp(y, -k), np.ldexp(f, -k)), alpha1, alpha2), k
+    return walk(np.ldexp(y, -k), np.ldexp(f, -k), *weights), k
+
+
+def walk_mean(walk, pair: EvaluationPair, *weights: float) -> float:
+    """The total of :func:`rescued_walk` over n, scaled back; inf past the float range."""
+    result, k = rescued_walk(walk, pair, *weights)
+    if not k:
+        return result[-1] / pair.n
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(result[-1] / pair.n, k))
 
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
     """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
-    (_, _, total), k = _charges(pair, params.alpha1, params.alpha2)
-    if not k:
-        return total / pair.n
-    with np.errstate(over="ignore"):  # a score past the float range is inf
-        return float(np.ldexp(total / pair.n, k))
-
-
-def _unit_periods(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Weight-free per-step unit-period charges of the pair scaled by 2**-k
-    (see :func:`_charges`), their sums per side, and k."""
-    (opp_units, stock_units, _), k = _charges(pair, 1.0, 1.0)
-    return opp_units, stock_units, float(opp_units.sum()), float(stock_units.sum()), k
+    return walk_mean(_fifo_charges, pair, params.alpha1, params.alpha2)
 
 
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:
@@ -250,7 +249,8 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     The weighted per-step arrays sum to ``n * spec_value``; the unit-period
     aggregates let any other weighting be evaluated without rescoring.
     """
-    opp_units, stock_units, opp_total, stock_total, k = _unit_periods(pair)
+    (opp_units, stock_units, _), k = rescued_walk(_fifo_charges, pair, 1.0, 1.0)
+    opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
     a1, a2 = params.alpha1, params.alpha2
     value = (a1 * opp_total + a2 * stock_total) / pair.n
     with np.errstate(over="ignore"):  # a cost past the float range is inf
@@ -277,7 +277,8 @@ def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoi
     """
     if not isinstance(grid_size, int) or grid_size < 2:
         raise InvalidParams(f"grid_size must be an integer >= 2, got {grid_size!r}")
-    _, _, opp_total, stock_total, k = _unit_periods(pair)
+    (opp_units, stock_units, _), k = rescued_walk(_fifo_charges, pair, 1.0, 1.0)
+    opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
     alphas = [i / (grid_size - 1) for i in range(grid_size)]
     values = [(a1 * opp_total + (1.0 - a1) * stock_total) / pair.n for a1 in alphas]
     with np.errstate(over="ignore"):  # a score past the float range is inf

@@ -61,7 +61,7 @@ def variance(xs: Sequence[float]) -> float:
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises DegenerateInput when either sequence is constant.
+    Raises DegenerateInput when either sequence is constant, StatsError when a sum is not finite.
     """
     n = len(xs)
     if n != len(ys):
@@ -73,6 +73,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     sxy = _fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sxx = _fsum((x - mx) ** 2 for x in xs)
     syy = _fsum((y - my) ** 2 for y in ys)
+    if not (math.isfinite(sxy) and math.isfinite(sxx) and math.isfinite(syy)):
+        raise StatsError("statistic overflows the float range")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("correlation is undefined for a constant sequence")
     scale = math.sqrt(sxx * syy)

@@ -6,25 +6,25 @@ backorders, oldest first, then shelved as a lot), each demand quantity drains
 the oldest stock first and queues the shortfall as a backorder. At the end of
 every step each open lot or backorder is charged weight * quantity * age.
 The walk streams the two series one step at a time, so it holds no Python
-float per step. Like every score, its cost is ``inf`` only when the exact
-value exceeds the float range: a total past it is taken again on the pair
-scaled by a power of two and scaled back.
+float per step.
 
 It is intentionally a separate code path from the metric evaluators in
 :mod:`demandeval.spec` (no prefix sums, no netting aggregates) so the
 experiment suite can use it as an independent oracle for what a forecast
-error actually costs.
+error actually costs. It shares only the float rescue with them, through
+:func:`demandeval.spec.walk_mean`: like every score, its cost is ``inf`` only
+when the exact value exceeds the float range, because a total past it is
+walked again on the pair scaled by a power of two and scaled back.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
 
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams
+from .spec import DEFAULT_PARAMS, SpecParams, walk_mean
 
 
 def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
@@ -33,20 +33,11 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    y, f = pair.actual.values, pair.forecast.values
-    total = _warehouse_total(y, f, params.alpha1, params.alpha2)
-    if math.isfinite(total):
-        return total / pair.n
-    # scaling by 2**-k, k the exponent of the largest quantity, is exact away
-    # from subnormals, and the cost scales by the same power of two
-    k = int(np.frexp(max(y.max(), f.max()))[1])
-    total = _warehouse_total(np.ldexp(y, -k), np.ldexp(f, -k), params.alpha1, params.alpha2)
-    with np.errstate(over="ignore"):  # a cost past the float range is inf
-        return float(np.ldexp(total / pair.n, k))
+    return walk_mean(_warehouse_total, pair, params.alpha1, params.alpha2)
 
 
-def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:
-    """Summed charges of the warehouse walk over demand ``y`` and deliveries ``f``."""
+def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> tuple[float]:
+    """Summed charges of the walk over demand ``y`` and deliveries ``f``, as a 1-tuple."""
     lots: deque[list[float]] = deque()  # [arrival_step, qty] on the shelf
     backorders: deque[list[float]] = deque()  # [order_step, qty] owed
 
@@ -79,4 +70,4 @@ def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> floa
             total += a2 * qty * (step - arrival_step + 1)
         for order_step, qty in backorders:
             total += a1 * qty * (step - order_step + 1)
-    return total
+    return (total,)

@@ -180,6 +180,11 @@ class TestComputeAll:
         with pytest.raises(DemandEvalError):
             compute_all(model_a_pair, metrics=("mae", "nope"))
 
+    @pytest.mark.parametrize("metrics", [("mae", "mae"), ("spec", "mae", "spec")])
+    def test_duplicate_metric(self, model_a_pair, metrics):
+        with pytest.raises(InvalidParams, match="duplicate metric names"):
+            compute_all(model_a_pair, metrics=metrics)
+
     def test_overflow_is_non_finite_without_warnings(self):
         """Only a value whose exact result exceeds the float range is inf."""
         pair = EvaluationPair.from_values([1e200, 0], [0, 1e200])

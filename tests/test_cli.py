@@ -133,7 +133,8 @@ class TestScore:
                 assert spec_line in captured.out.splitlines() and captured.err == ""
 
     @pytest.mark.parametrize(
-        "selection,named", [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope")]
+        "selection,named",
+        [("", "no metrics"), (",", "no metrics"), ("mae,nope", "nope"), ("mae,mae", "duplicate")],
     )
     def test_bad_metric_selection_exit_2(self, model_a_csv, capsys, selection, named):
         for fmt in ("table", "json"):
@@ -492,7 +493,13 @@ class TestExperimentCommand:
         "kind,fields",
         [("reliability", {"variance_levels": [0.5, 1.5]}),
          ("validity", {"direction": "vertical", "mu_levels": [0, 1e199, 2e199], "sigma": 1e198}),
-         ("cost-validity", {"variance_levels": [0.5, 1.5]})],
+         ("cost-validity", {"variance_levels": [0.5, 1.5]}),
+         # one spike of 1.7e308 shifted 50 steps: the warehouse cost passes the float range
+         ("cost-validity", {
+             "demand": {"n": 96, "count_mu": 1.0, "count_sigma": 0.0,
+                        "magnitude_mu": 1.7e308, "magnitude_sigma": 0.0},
+             "variance_levels": [1.5, 2.5], "forecasts_per_series": 2, "metrics": ["spec"],
+             "error_directions": "horizontal", "error_mu": 50.0})],
     )
     def test_statistic_overflow_exit_2(self, tmp_path, capsys, kind, fields):
         cfg = self._write(tmp_path, {
@@ -501,9 +508,12 @@ class TestExperimentCommand:
             "series_count": 2, "forecasts_per_series": 3, "metrics": ["mae", "spec"],
             "seed": 1, **fields,
         })
-        code = run_cli("experiment", kind, "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        out = tmp_path / "r.json"
+        code = run_cli("experiment", kind, "--config", str(cfg), "--out", str(out))
         assert code == 2
-        assert "overflows the float range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" overflows the float range\n")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_scoring_overflow_prints_only_the_error(self, tmp_path, capsys):

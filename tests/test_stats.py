@@ -42,8 +42,10 @@ class TestDescriptives:
     @pytest.mark.parametrize(
         "statistic", [lambda: variance([1e300, -1e300, 3e300]), lambda: mean([1e308, 1e308]),
                       lambda: pearson([1e300, -1e300], [1.0, 2.0]),
+                      lambda: pearson([3.0, 2.0, 1.0], [1.0, 2.0, math.inf]),
+                      lambda: pearson([1.0, 2.0], [1.0, math.nan]),
                       lambda: levene([[math.inf, -math.inf], [1.0, 2.0]])],
-        ids=["variance", "mean", "pearson", "levene"],
+        ids=["variance", "mean", "pearson", "pearson-inf", "pearson-nan", "levene"],
     )
     def test_float_range_overflow(self, statistic):
         with pytest.raises(StatsError, match="overflows the float range"):
@@ -178,6 +180,12 @@ class TestFTail:
 
     def test_infinite_statistic(self):
         assert f_sf(math.inf, 2, 2) == 0.0
+
+    # d2 / (d2 + d1 * x) rounds to 1 for a tiny x, and is 0 once d1 * x overflows
+    @pytest.mark.parametrize("x,d1,d2,want", [(1e-300, 1, 1, 1.0), (1e308, 4, 2, 0.0)],
+                             ids=["rounds-to-one", "overflows-to-zero"])
+    def test_beta_argument_at_its_bounds(self, x, d1, d2, want):
+        assert f_sf(x, d1, d2) == want == scipy.stats.f.sf(x, d1, d2)
 
     @pytest.mark.parametrize("x,named", [(math.nan, "NaN"), (-0.5, ">= 0")])
     def test_invalid_statistic(self, x, named):

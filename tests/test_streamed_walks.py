@@ -34,8 +34,8 @@ from demandeval import spec
 WEIGHTS = (SpecParams(0.75, 0.25), SpecParams(1.0, 0.0), SpecParams(0.0, 1.0))
 
 
-def _list_fifo_charges(pair, alpha1, alpha2):
-    n = pair.n
+def _list_fifo_charges(y, f, alpha1, alpha2):
+    n = y.size
     opp = [0.0] * n
     stock = [0.0] * n
 
@@ -46,7 +46,7 @@ def _list_fifo_charges(pair, alpha1, alpha2):
 
     total = 0.0
     t = 0
-    for yt, ft in zip(memoryview(pair.actual.values), memoryview(pair.forecast.values)):
+    for yt, ft in zip(memoryview(y), memoryview(f)):
         t += 1
         if yt > 0.0:
             owed.append([t, yt])
@@ -188,7 +188,8 @@ def test_kernel_matches_its_list_twin(pairs, monkeypatch):
         for g, w in zip(got_results, want_results):
             assert _same(g, w), (pair, g, w)
     # the rescaled pass was taken
-    assert any(not math.isfinite(_list_fifo_charges(pair, 1.0, 1.0)[2]) for pair in pairs)
+    assert any(not math.isfinite(_list_fifo_charges(pair.actual.values, pair.forecast.values,
+                                                    1.0, 1.0)[2]) for pair in pairs)
 
 
 def test_stock_cost_matches_its_list_twin(pairs):
