@@ -143,8 +143,17 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     return seed.tolist() if vector else seed
 
 
+def _entries(name: str, values, kind: str) -> tuple:
+    try:
+        if not isinstance(values, (str, dict)):  # tuple() would split a str, key a dict
+            return tuple(values)
+    except TypeError:
+        pass
+    raise InvalidConfig(f"field '{name}': expected a list of {kind}, got {values!r}")
+
+
 def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(metrics)
+    names = _entries("metrics", metrics, "metric names")
     if not names:
         raise InvalidConfig("field 'metrics': at least one metric is required")
     unknown = [m for m in names if m not in METRIC_NAMES]
@@ -156,10 +165,7 @@ def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
 
 
 def _check_numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
-    try:
-        entries = tuple(values)
-    except TypeError:
-        raise InvalidConfig(f"field '{name}': expected a list of numbers, got {values!r}") from None
+    entries = _entries(name, values, "numbers")
     for v in entries:
         _check_finite(f"field '{name}':", v)
     return tuple(float(v) for v in entries)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, spec_fast
+from .spec import DEFAULT_PARAMS, SpecParams, rescued, spec_fast
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,24 @@ def _root_mean_square(x: np.ndarray) -> float:
     return math.sqrt(_mean_square(x))
 
 
-def _rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
-    """``reduce(*xs)``, of degree ``degrees[i]`` in ``xs[i]``, ``inf`` only when
-    its exact value exceeds the float range: a non-finite result is taken again
-    on each x scaled by 2**-k, k the binary exponent of its largest |x|, and
-    scaled back by 2**(sum of degree * k). Scaling by a power of two is exact
-    away from subnormals, so a result that did not overflow keeps its bits.
-    """
-    value = reduce(*xs)
-    if math.isfinite(value):
-        return float(value)
-    ks = [int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) for x in xs]
-    scaled = reduce(*(np.ldexp(x, -k) for x, k in zip(xs, ks)))
-    with np.errstate(over="ignore"):  # a value past the float range is inf
-        return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
-
-
 def mae(pair: EvaluationPair) -> float:
     """Mean absolute error."""
-    return _rescued(_mean, np.abs(_errors(pair)))
+    return rescued(_mean, np.abs(_errors(pair)))
 
 
 def mdae(pair: EvaluationPair) -> float:
     """Median absolute error."""
-    return _rescued(np.median, np.abs(_errors(pair)))
+    return rescued(np.median, np.abs(_errors(pair)))
 
 
 def mse(pair: EvaluationPair) -> float:
     """Mean squared error."""
-    return _rescued(_mean_square, _errors(pair), degrees=(2,))
+    return rescued(_mean_square, _errors(pair), degrees=(2,))
 
 
 def rmse(pair: EvaluationPair) -> float:
     """Root mean squared error."""
-    return _rescued(_root_mean_square, _errors(pair))
+    return rescued(_root_mean_square, _errors(pair))
 
 
 def _percentage(pair: EvaluationPair, reduce) -> float:
@@ -157,7 +141,7 @@ def _naive_scaled(reduce, e: np.ndarray, steps: np.ndarray, finish=float) -> flo
         scale = reduce(steps) if steps.size else 0.0
         return finish(reduce(e) / scale) if 0.0 < scale < math.inf else math.nan
 
-    return _rescued(ratio, e, steps, degrees=(1, -1))
+    return rescued(ratio, e, steps, degrees=(1, -1))
 
 
 def mase(pair: EvaluationPair) -> float:

@@ -71,7 +71,7 @@ class CostBreakdown:
     for 1-based access). At most one of the two is positive at any step.
     ``opp_unit_periods`` / ``stock_unit_periods`` are the age-weighted unit
     totals before applying the weights or dividing by n, so the score for any
-    weighting is ``(alpha1 * opp + alpha2 * stock) / n``.
+    weighting is ``(alpha1 * opp + alpha2 * stock) / n`` up to rounding.
     """
 
     per_t_opportunity: np.ndarray
@@ -215,27 +215,34 @@ def _fifo_charges(
     return opp, stock, total
 
 
-def rescued_walk(walk, pair: EvaluationPair, *weights: float) -> tuple[tuple, int]:
-    """``walk(y, f, *weights)`` on the pair's values and 0, or, where the total it
-    returns last passes the float range, the walk of the pair scaled by 2**-k
-    below 1 and k. The scaling is exact away from subnormals, so a cost of
-    degree d is the scaled cost times 2**(d*k), inf only past the range.
+def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
+    """``reduce(*xs)``, of degree ``degrees[i]`` in ``xs[i]``, ``inf`` only when
+    its exact value exceeds the float range: a non-finite result is taken again
+    on each x scaled by 2**-k, k the binary exponent of its largest |x|, and
+    scaled back by 2**(sum of degree * k). Scaling by a power of two is exact
+    away from subnormals, so a result that did not overflow keeps its bits.
     """
+    value = reduce(*xs)
+    if math.isfinite(value):
+        return float(value)
+    ks = [int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) for x in xs]
+    scaled = reduce(*(np.ldexp(x, -k) for x, k in zip(xs, ks)))
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
+
+
+def walk_mean(walk, pair: EvaluationPair, alpha1: float, alpha2: float) -> float:
+    """The total ``walk(y, f, alpha1, alpha2)`` returns last, over n. Past the float range it is
+    :func:`rescued` on the pair, then, if still past it, on the weights; never both in one pass."""
     y, f = pair.actual.values, pair.forecast.values
-    result = walk(y, f, *weights)
-    if math.isfinite(result[-1]):
-        return result, 0
-    k = int(np.frexp(max(y.max(), f.max()))[1])
-    return walk(np.ldexp(y, -k), np.ldexp(f, -k), *weights), k
+    mean = walk(y, f, alpha1, alpha2)[-1] / pair.n
+    if math.isfinite(mean):
+        return mean
 
-
-def walk_mean(walk, pair: EvaluationPair, *weights: float) -> float:
-    """The total of :func:`rescued_walk` over n, scaled back; inf past the float range."""
-    result, k = rescued_walk(walk, pair, *weights)
-    if not k:
-        return result[-1] / pair.n
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(result[-1] / pair.n, k))
+    def weighted(weights: np.ndarray) -> float:
+        a1, a2 = weights.tolist()
+        return rescued(lambda yf: walk(*yf, a1, a2)[-1] / pair.n, np.stack((y, f)))
+    return rescued(weighted, np.array([alpha1, alpha2], dtype=float))
 
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
@@ -243,20 +250,30 @@ def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> floa
     return walk_mean(_fifo_charges, pair, params.alpha1, params.alpha2)
 
 
+def _unit_charges(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, int]:
+    """Unit-weight charges at each step and k = 0, or, where their total passes
+    the float range, the charges of the pair scaled by 2**-k below 1 and k."""
+    y, f = pair.actual.values, pair.forecast.values
+    opp, stock, total = _fifo_charges(y, f, 1.0, 1.0)
+    if math.isfinite(total):
+        return opp, stock, 0
+    k = int(np.frexp(max(y.max(), f.max()))[1])
+    opp, stock, _ = _fifo_charges(np.ldexp(y, -k), np.ldexp(f, -k), 1.0, 1.0)
+    return opp, stock, k
+
+
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:
     """Attribute the score to individual time steps.
 
-    The weighted per-step arrays sum to ``n * spec_value``; the unit-period
-    aggregates let any other weighting be evaluated without rescoring.
+    ``spec_value`` is :func:`spec_fast`'s score; the weighted per-step arrays
+    sum to ``n * spec_value`` up to rounding. The unit-period aggregates let
+    any other weighting be evaluated without rescoring.
     """
-    (opp_units, stock_units, _), k = rescued_walk(_fifo_charges, pair, 1.0, 1.0)
-    opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
-    a1, a2 = params.alpha1, params.alpha2
-    value = (a1 * opp_total + a2 * stock_total) / pair.n
+    opp_units, stock_units, k = _unit_charges(pair)
     with np.errstate(over="ignore"):  # a cost past the float range is inf
-        per_t_opp = np.ldexp(a1 * opp_units, k)
-        per_t_stock = np.ldexp(a2 * stock_units, k)
-        opp_total, stock_total, value = np.ldexp([opp_total, stock_total, value], k).tolist()
+        per_t_opp = np.ldexp(params.alpha1 * opp_units, k)
+        per_t_stock = np.ldexp(params.alpha2 * stock_units, k)
+        opp_total, stock_total = np.ldexp([opp_units.sum(), stock_units.sum()], k).tolist()
     per_t_opp.setflags(write=False)
     per_t_stock.setflags(write=False)
     return CostBreakdown(
@@ -264,7 +281,7 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
         per_t_stock=per_t_stock,
         opp_unit_periods=opp_total,
         stock_unit_periods=stock_total,
-        spec_value=value,
+        spec_value=spec_fast(pair, params),
         params=params,
     )
 
@@ -277,7 +294,7 @@ def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoi
     """
     if not isinstance(grid_size, int) or grid_size < 2:
         raise InvalidParams(f"grid_size must be an integer >= 2, got {grid_size!r}")
-    (opp_units, stock_units, _), k = rescued_walk(_fifo_charges, pair, 1.0, 1.0)
+    opp_units, stock_units, k = _unit_charges(pair)
     opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
     alphas = [i / (grid_size - 1) for i in range(grid_size)]
     values = [(a1 * opp_total + (1.0 - a1) * stock_total) / pair.n for a1 in alphas]

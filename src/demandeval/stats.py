@@ -172,25 +172,17 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < eps:  # the odd step's delta
             return h
     raise StatsError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")

@@ -13,8 +13,8 @@ It is intentionally a separate code path from the metric evaluators in
 experiment suite can use it as an independent oracle for what a forecast
 error actually costs. It shares only the float rescue with them, through
 :func:`demandeval.spec.walk_mean`: like every score, its cost is ``inf`` only
-when the exact value exceeds the float range, because a total past it is
-walked again on the pair scaled by a power of two and scaled back.
+when the exact value exceeds the float range, because a mean past it is
+walked again on the pair, and then the weights, scaled by a power of two.
 """
 
 from __future__ import annotations

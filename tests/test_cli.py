@@ -6,6 +6,7 @@ import platform
 import shutil
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestScore:
                                "--alpha1", weights[0], "--alpha2", weights[1]) == 0
                 captured = capsys.readouterr()
                 assert spec_line in captured.out.splitlines() and captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_weight_scores_spec_finite(self, tmp_path, capsys):
+        """1 unit owed for 100 periods at alpha1 = 1e306: the weighted total passes the
+        float range, the score 1e306 * 5050 / 100 does not."""
+        path = tmp_path / "owed.csv"
+        path.write_text("t,actual,forecast\n" + "".join(f"{t},{int(t == 1)},0\n" for t in range(1, 101)))
+        assert run_cli("score", "--input", str(path), "--metrics", "spec", "--format", "csv",
+                       "--alpha1", "1e306", "--alpha2", "0") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "spec,5.05e+307" and captured.err == ""
+        exact = Fraction(1e306) * 5050 / 100
+        assert abs(Fraction(float("5.05e+307")) - exact) <= Fraction(4e-16) * exact
 
     @pytest.mark.parametrize(
         "selection,named",
@@ -450,6 +464,22 @@ class TestExperimentCommand:
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "variance_levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("metrics", {"mae": 1, "spec": 2}),  # not read as its keys
+        ("metrics", "spec"),  # not split into letters
+        ("variance_levels", "0.5"),
+    ], ids=["metrics-object", "metrics-string", "levels-string"])
+    def test_list_field_given_as_object_or_string_exit_2(self, tmp_path, capsys, field, value):
+        cfg = self._write(tmp_path, {
+            "demand": {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                       "magnitude_mu": 10.0, "magnitude_sigma": 2.0},
+            "variance_levels": [0.5, 1.5], "seed": 3, field: value,
+        })
+        out = tmp_path / "r.json"
+        code = run_cli("experiment", "reliability", "--config", str(cfg), "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"field '{field}': expected a list of " in capsys.readouterr().err
 
     def test_cost_validity_reads_both_weightings(self, tmp_path):
         cfg = self._write(tmp_path, {

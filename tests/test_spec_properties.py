@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from demandeval import (
     spec_decompose,
     spec_fast,
     spec_literal,
+    stock_cost,
 )
 from demandeval import metrics
 from demandeval.metrics import METRIC_NAMES, mape
@@ -105,6 +108,16 @@ def test_positive_homogeneity(actual, forecast, j):
     assert spec_fast(tenfold) == pytest.approx(10 * spec_fast(pair), abs=1e-9, rel=1e-9)
 
 
+@given(quantities, quantities, weights, weights)
+@settings(max_examples=300)
+def test_score_is_the_decomposition_value(actual, forecast, a1, a2):
+    if a1 == 0.0 and a2 == 0.0:
+        a1 = 1.0
+    pair = _pair(actual, forecast)
+    params = SpecParams(a1, a2)
+    assert spec_decompose(pair, params).spec_value == spec_fast(pair, params)
+
+
 @given(quantities, quantities)
 @settings(max_examples=150)
 def test_branch_exclusivity(actual, forecast):
@@ -171,3 +184,33 @@ def test_overflowing_volume_matches_reference(mirrored):
     assert [point.spec_value for point in sweep] == (
         [math.inf, 1e308, 0.0] if mirrored else [0.0, 1e308, math.inf]
     )
+
+
+def _exact_spec(actual, forecast, alpha1, alpha2) -> Fraction:
+    """:func:`spec_literal`'s double sum in exact arithmetic."""
+    y, f = [Fraction(v) for v in actual], [Fraction(v) for v in forecast]
+    a1, a2 = Fraction(alpha1), Fraction(alpha2)
+    ycum, fcum = list(accumulate(y)), list(accumulate(f))
+    total = sum(
+        max(0, min(ycum[i] - fcum[t], y[i]) * a1, min(fcum[i] - ycum[t], f[i]) * a2) * (t - i + 1)
+        for t in range(len(y)) for i in range(t + 1)
+    )
+    return total / len(y)
+
+
+@pytest.mark.parametrize("actual, forecast, weights, literal", [
+    # 1 unit owed for 100 periods: the weight and the age sum pass the float range, not the quantities
+    ([1.0] + [0.0] * 99, [0.0] * 100, (1e306, 0.0), math.inf),
+    # the quantities pass it; scaling the weights in the same pass would flush alpha2 to 0
+    ([0.0, 0.0, 0.0, 1e308, 1e308], [1e308, 1e308, 0.0, 0.0, 0.0], (1e306, 1e-300), 2.4e8),
+], ids=["large-weight", "pair-before-weights"])
+def test_large_weights_are_inf_only_past_the_float_range(actual, forecast, weights, literal):
+    pair = EvaluationPair.from_values(actual, forecast)
+    params = SpecParams(*weights)
+    exact = _exact_spec(actual, forecast, *weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [spec_fast(pair, params), spec_decompose(pair, params).spec_value, stock_cost(pair, params)]
+    for value in values:
+        assert abs(Fraction(value) - exact) <= Fraction(4e-16) * exact, (value, float(exact))
+    assert spec_literal(pair, params) == literal  # the reference has no rescue; pinned as it stands
