@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import EmptySeries, MalformedRow, NonContiguousTime
+from .errors import MalformedRow, SeriesError
 from .series import DemandSeries, EvaluationPair, ForecastSeries
 from .spec import AlphaSweepPoint, CostBreakdown, SpecParams
 
@@ -131,7 +131,7 @@ def _read_pair_rows(reader) -> tuple[list[float], list[float]]:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptySeries("input has no header line") from None
+        raise SeriesError("input has no header line") from None
     if tuple(cell.strip().lower() for cell in header) != PAIR_HEADER:
         raise MalformedRow(
             f"expected header {','.join(PAIR_HEADER)!r}, got {','.join(header)!r}"
@@ -151,14 +151,14 @@ def _read_pair_rows(reader) -> tuple[list[float], list[float]]:
         except ValueError as exc:
             raise MalformedRow(f"line {line_no}: {exc}") from None
         if t != expected_t:
-            raise NonContiguousTime(
+            raise MalformedRow(
                 f"line {line_no}: expected t={expected_t}, got t={t} (must run 1..n without gaps)"
             )
         expected_t += 1
         actual.append(a)
         forecast.append(f)
     if not actual:
-        raise EmptySeries("input contains a header but no data rows")
+        raise SeriesError("input contains a header but no data rows")
     return actual, forecast
 
 

@@ -23,16 +23,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .csvio import dump_json, json_number
-from .errors import DegenerateInput, InvalidConfig, StatsError
+from .errors import DegenerateInput, InvalidConfig, StatsError, check_int, check_number, check_seed
 from .metrics import METRIC_NAMES, compute_metric
 from .series import DemandSeries, EvaluationPair
 from .simulate import (
     DemandGenConfig,
     ErrorInjectionConfig,
-    _check_finite,
-    _check_int,
-    _check_seed,
-    _check_sigma,
     generate_demand,
     naive_forecast,
     perturb_forecast,
@@ -152,7 +148,7 @@ def _entries(name: str, values, kind: str) -> tuple:
     raise InvalidConfig(f"field '{name}': expected a list of {kind}, got {values!r}")
 
 
-def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
+def _metric_names(metrics: Sequence[str]) -> tuple[str, ...]:
     names = _entries("metrics", metrics, "metric names")
     if not names:
         raise InvalidConfig("field 'metrics': at least one metric is required")
@@ -164,15 +160,15 @@ def _check_metrics(metrics: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _check_numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
+def _numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
     entries = _entries(name, values, "numbers")
     for v in entries:
-        _check_finite(f"field '{name}':", v)
+        check_number(f"field '{name}':", v)
     return tuple(float(v) for v in entries)
 
 
-def _check_levels(name: str, levels: Iterable[float], minimum_count: int) -> tuple[float, ...]:
-    values = _check_numbers(name, levels)
+def _levels(name: str, levels: Iterable[float], minimum_count: int) -> tuple[float, ...]:
+    values = _numbers(name, levels)
     if len(values) < minimum_count:
         raise InvalidConfig(f"field '{name}': need at least {minimum_count} levels, got {len(values)}")
     if len(set(values)) != len(values):
@@ -229,19 +225,19 @@ class ReliabilityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_int("field 'series_count':", self.series_count, 2)
-        _check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
-        levels = _check_levels("variance_levels", self.variance_levels, 2)
+        check_int("field 'series_count':", self.series_count, 2)
+        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
+        levels = _levels("variance_levels", self.variance_levels, 2)
         if any(v < 0 for v in levels):
             raise InvalidConfig("field 'variance_levels': sigma values must be >= 0")
         object.__setattr__(self, "variance_levels", levels)
-        object.__setattr__(self, "metrics", _check_metrics(self.metrics))
+        object.__setattr__(self, "metrics", _metric_names(self.metrics))
         if self.error_directions not in _DIRECTIONS:
             raise InvalidConfig(
                 f"field 'error_directions': must be one of {_DIRECTIONS}, got {self.error_directions!r}"
             )
-        _check_finite("field 'error_mu':", self.error_mu)
-        _check_seed("field 'seed':", self.seed)
+        check_number("field 'error_mu':", self.error_mu)
+        check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -264,12 +260,12 @@ class ValidityConfig:
             raise InvalidConfig(
                 f"field 'direction': must be 'vertical' or 'horizontal', got {self.direction!r}"
             )
-        object.__setattr__(self, "mu_levels", _check_levels("mu_levels", self.mu_levels, 3))
-        _check_sigma("field 'sigma':", self.sigma)
-        _check_int("field 'series_count':", self.series_count, 2)
-        _check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
-        object.__setattr__(self, "metrics", _check_metrics(self.metrics))
-        _check_seed("field 'seed':", self.seed)
+        object.__setattr__(self, "mu_levels", _levels("mu_levels", self.mu_levels, 3))
+        check_number("field 'sigma':", self.sigma, 0)
+        check_int("field 'series_count':", self.series_count, 2)
+        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
+        object.__setattr__(self, "metrics", _metric_names(self.metrics))
+        check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -286,17 +282,17 @@ class SegmentReliabilityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        mus = _check_numbers("magnitude_mus", self.magnitude_mus)
+        mus = _numbers("magnitude_mus", self.magnitude_mus)
         if len(mus) < 2:
             raise InvalidConfig("field 'magnitude_mus': need at least 2 series")
         object.__setattr__(self, "magnitude_mus", mus)
-        _check_int("field 'window':", self.window, 2)
-        _check_int("field 'segments_per_series':", self.segments_per_series, 2)
+        check_int("field 'window':", self.window, 2)
+        check_int("field 'segments_per_series':", self.segments_per_series, 2)
         if self.window > self.demand.n:
             raise InvalidConfig(
                 f"field 'window': {self.window} exceeds the demand horizon {self.demand.n}"
             )
-        _check_seed("field 'seed':", self.seed)
+        check_seed("field 'seed':", self.seed)
 
     from_dict = classmethod(_load)
 
@@ -362,15 +358,15 @@ def _pair_stream(
     the demand series is drawn from the seed at the demand key, and forecast
     ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
     forecast seeds come from one :func:`derive_seed` call. Each block is
-    yielded as ``(level index, {metric: values in forecast order}, costs)``,
-    where ``costs`` holds the warehouse cost of each forecast when
-    ``cost_params`` is given and is empty otherwise. Non-finite values stay
-    in the block and are counted per metric into ``bad``.
+    yielded as ``(level index, {metric: values in forecast order}, costs)``
+    for the metrics keyed in ``bad``, where ``costs`` holds the warehouse cost
+    of each forecast when ``cost_params`` is given and is empty otherwise.
+    Non-finite values stay in the block and are counted per metric into ``bad``.
     """
     for demand_key, blocks in cells:
         actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
         for l_idx, mu, sigma, forecast_key in blocks:
-            values: dict[str, list[float]] = {m: [] for m in config.metrics}
+            values: dict[str, list[float]] = {m: [] for m in bad}
             costs: list[float] = []
             seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
             # Values past the float range count as non-finite, without numpy warnings.
@@ -381,9 +377,9 @@ def _pair_stream(
                     )
                     if cost_params is not None:
                         costs.append(stock_cost(pair, cost_params))
-                    for m in config.metrics:
+                    for m, scores in values.items():
                         value = compute_metric(m, pair, params).value
-                        values[m].append(value)
+                        scores.append(value)
                         if not math.isfinite(value):
                             bad[m] += 1
             yield l_idx, values, costs
@@ -440,7 +436,7 @@ def run_validity(config: ValidityConfig) -> ExperimentReport:
     Each level draws its own demand series (seeds derived per level and
     series), each series its own perturbed forecasts; the reported r
     correlates the shift levels with the per-level mean metric value.
-    Percentage-family metrics are excluded from horizontal sweeps (see
+    Percentage-family metrics are not scored in horizontal sweeps (see
     :data:`PERCENTAGE_METRICS`), and any metric producing a non-finite value
     anywhere in the sweep is reported as not calculable rather than silently
     dropped from some cells.
@@ -451,15 +447,16 @@ def run_validity(config: ValidityConfig) -> ExperimentReport:
         for l_idx, mu in enumerate(levels)
         for s_idx in range(config.series_count)
     )
-    bad = dict.fromkeys(config.metrics, 0)
-    level_values = {m: [[] for _ in levels] for m in config.metrics}
+    horizontal = config.direction == "horizontal"
+    bad = {m: 0 for m in config.metrics if not (horizontal and m in PERCENTAGE_METRICS)}
+    level_values = {m: [[] for _ in levels] for m in bad}
     for l_idx, values, _ in _pair_stream(config, config.direction, cells, bad):
         for m, block in values.items():
             level_values[m][l_idx].extend(block)
 
     outcomes = {}
     for m in config.metrics:
-        if config.direction == "horizontal" and m in PERCENTAGE_METRICS:
+        if m not in bad:
             outcomes[m] = MetricOutcome(
                 metric=m, not_calculable="percentage-family metric under horizontal shift"
             )
@@ -491,8 +488,8 @@ def run_segment_reliability(
     """
     if len(series_set) < 2:
         raise InvalidConfig("need at least 2 series")
-    _check_int("field 'segments_per_series':", segments_per_series, 2)
-    _check_seed("field 'seed':", seed)
+    check_int("field 'segments_per_series':", segments_per_series, 2)
+    check_seed("field 'seed':", seed)
     groups: list[list[float]] = []
     for idx, series in enumerate(series_set):
         extracts = segment_extracts(series, window, segments_per_series, derive_seed(seed, 2, idx))

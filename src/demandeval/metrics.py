@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidConfig
 from .series import EvaluationPair
 from .spec import DEFAULT_PARAMS, SpecParams, rescued, spec_fast
 
@@ -183,7 +183,7 @@ def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT
     benchmark tracer reads ``.is_finite`` from this function's result.
     """
     if name != "spec" and name not in _METRIC_FUNCS:
-        raise InvalidParams(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
+        raise InvalidConfig(f"unknown metric {name!r}; known: {', '.join(METRIC_NAMES)}")
     return ExtendedValue(spec_fast(pair, params) if name == "spec" else _METRIC_FUNCS[name](pair))
 
 
@@ -195,9 +195,9 @@ def compute_all(
     """Evaluate the requested metrics (default: all; no repeats) for one pair, in request order."""
     names = METRIC_NAMES if metrics is None else tuple(metrics)
     if not names:
-        raise InvalidParams("no metrics selected")
+        raise InvalidConfig("no metrics selected")
     if len(set(names)) != len(names):
-        raise InvalidParams("duplicate metric names")
+        raise InvalidConfig("duplicate metric names")
     # Values past the float range become inf or nan, which the report renders.
     with np.errstate(over="ignore", invalid="ignore"):
         return {name: compute_metric(name, pair, params).value for name in names}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, LengthMismatch, NegativeValue, NonFiniteValue, SeriesError
+from .errors import SeriesError
 
 
 def _validated_array(raw) -> np.ndarray:
@@ -19,11 +19,11 @@ def _validated_array(raw) -> np.ndarray:
     if arr.ndim != 1:
         raise SeriesError(f"expected a 1-d sequence of quantities, got shape {arr.shape}")
     if arr.size == 0:
-        raise EmptySeries("series must contain at least one time step")
+        raise SeriesError("series must contain at least one time step")
     if not np.isfinite(arr).all():
-        raise NonFiniteValue("series contains NaN or infinite entries")
+        raise SeriesError("series contains NaN or infinite entries")
     if (arr < 0).any():
-        raise NegativeValue("series contains negative quantities")
+        raise SeriesError("series contains negative quantities")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -76,7 +76,7 @@ class EvaluationPair:
 
     def __post_init__(self) -> None:
         if self.actual.n != self.forecast.n:
-            raise LengthMismatch(
+            raise SeriesError(
                 f"actual has {self.actual.n} steps but forecast has {self.forecast.n}"
             )
 

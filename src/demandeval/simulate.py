@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, WindowTooLarge
+from .errors import InvalidConfig, check_int, check_number, check_seed
 from .series import DemandSeries, ForecastSeries
 
 #: Smallest nonzero demand a generated spike may carry (one SKU). Magnitudes
@@ -24,27 +24,6 @@ MAGNITUDE_FLOOR = 1.0
 
 #: Steps of the actual whose spikes :func:`perturb_forecast` perturbs at once.
 _SPIKE_BLOCK = 65_536
-
-
-def _check_finite(name: str, value: float) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_int(name: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_sigma(name: str, value: float) -> None:
-    _check_finite(name, value)
-    if value < 0:
-        raise InvalidConfig(f"{name} must be >= 0, got {value!r}")
-
-
-def _check_seed(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
-        raise InvalidConfig(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +47,12 @@ class DemandGenConfig:
     round_magnitudes: bool = False
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n, 1)
-        _check_finite("count_mu", self.count_mu)
-        _check_sigma("count_sigma", self.count_sigma)
-        _check_finite("magnitude_mu", self.magnitude_mu)
-        _check_sigma("magnitude_sigma", self.magnitude_sigma)
-        _check_seed("seed", self.seed)
+        check_int("n", self.n, 1)
+        check_number("count_mu", self.count_mu)
+        check_number("count_sigma", self.count_sigma, 0)
+        check_number("magnitude_mu", self.magnitude_mu)
+        check_number("magnitude_sigma", self.magnitude_sigma, 0)
+        check_seed("seed", self.seed)
         if not isinstance(self.round_magnitudes, bool):
             raise InvalidConfig(
                 f"round_magnitudes must be true or false, got {self.round_magnitudes!r}"
@@ -98,11 +77,11 @@ class ErrorInjectionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_finite("vertical_mu", self.vertical_mu)
-        _check_sigma("vertical_sigma", self.vertical_sigma)
-        _check_finite("horizontal_mu", self.horizontal_mu)
-        _check_sigma("horizontal_sigma", self.horizontal_sigma)
-        _check_seed("seed", self.seed)
+        check_number("vertical_mu", self.vertical_mu)
+        check_number("vertical_sigma", self.vertical_sigma, 0)
+        check_number("horizontal_mu", self.horizontal_mu)
+        check_number("horizontal_sigma", self.horizontal_sigma, 0)
+        check_seed("seed", self.seed)
 
 
 def generate_demand(config: DemandGenConfig) -> DemandSeries:
@@ -176,12 +155,12 @@ def segment_extracts(
     Start offsets are uniform over the valid range; identical seeds give
     identical extracts.
     """
-    _check_int("window", window, 1)
-    _check_int("count", count, 1)
-    _check_seed("seed", seed)
+    check_int("window", window, 1)
+    check_int("count", count, 1)
+    check_seed("seed", seed)
     n = series.n
     if window > n:
-        raise WindowTooLarge(f"window {window} exceeds series length {n}")
+        raise InvalidConfig(f"window {window} exceeds series length {n}")
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, n - window + 1, size=count)
     return [DemandSeries(series.values[s : s + window]) for s in starts]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidConfig, check_int, check_number
 from .series import EvaluationPair
 
 
@@ -46,17 +46,10 @@ class SpecParams:
     alpha2: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or value < 0
-            ):
-                raise InvalidParams(f"{name} must be a finite non-negative number, got {value!r}")
+        check_number("alpha1", self.alpha1, 0)
+        check_number("alpha2", self.alpha2, 0)
         if self.alpha1 == 0 and self.alpha2 == 0:
-            raise InvalidParams("alpha1 and alpha2 cannot both be zero; the score would be identically 0")
+            raise InvalidConfig("alpha1 and alpha2 cannot both be zero; the score would be identically 0")
 
 
 DEFAULT_PARAMS = SpecParams()
@@ -292,8 +285,7 @@ def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoi
     Uses one weight-free pass of the O(n) kernel and the score's linearity
     in the weights, so the cost does not grow with the grid size.
     """
-    if not isinstance(grid_size, int) or grid_size < 2:
-        raise InvalidParams(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    check_int("grid_size", grid_size, 2)
     opp_units, stock_units, k = _unit_charges(pair)
     opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
     alphas = [i / (grid_size - 1) for i in range(grid_size)]

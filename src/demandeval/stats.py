@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DegenerateInput,
-    GroupTooSmall,
-    InvalidDegreesOfFreedom,
-    LengthMismatch,
-    StatsError,
-    TooFewGroups,
-)
+from .errors import DegenerateInput, StatsError, check_int
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """
     n = len(xs)
     if n != len(ys):
-        raise LengthMismatch(f"sequences have lengths {n} and {len(ys)}")
+        raise StatsError(f"sequences have lengths {n} and {len(ys)}")
     if n < 2:
         raise DegenerateInput("correlation needs at least two observations")
     mx = _fsum(xs) / n
@@ -91,10 +84,10 @@ def levene(groups: Sequence[Sequence[float]]) -> LeveneResult:
     """
     k = len(groups)
     if k < 2:
-        raise TooFewGroups(f"need at least 2 groups, got {k}")
+        raise StatsError(f"need at least 2 groups, got {k}")
     sizes = [len(g) for g in groups]
     if any(size < 2 for size in sizes):
-        raise GroupTooSmall("every group needs at least 2 observations")
+        raise StatsError("every group needs at least 2 observations")
     total = sum(sizes)
 
     centers = [_fsum(g) / len(g) for g in groups]
@@ -126,9 +119,8 @@ def f_sf(x: float, d1: int, d2: int) -> float:
     Evaluated through the regularized incomplete beta function with a
     continued-fraction expansion (relative error below 1e-8).
     """
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise InvalidDegreesOfFreedom(f"{name} must be a positive integer, got {d!r}")
+    check_int("d1", d1, 1)
+    check_int("d2", d2, 1)
     if not math.isfinite(x):
         if math.isnan(x):
             raise StatsError("F statistic is NaN")

@@ -319,3 +319,60 @@ def test_golden_report_digests(horizontal_report, vertical_report, reliability_r
         for name, report in reports.items()
     }
     assert digests == GOLDEN_REPORTS
+
+
+#: Every number of the five shipped study reports, config snapshots left out,
+#: at full repr. Unlike the digests above they hold on any installation whose
+#: numpy draws the same random streams.
+REPORT_VALUES = REPO_ROOT / "tests" / "report_values.json"
+
+#: The first draws of ``default_rng(0)`` through each kind of call the studies make.
+NUMPY_STREAMS = {
+    "normal": [0.1257302210933933, -0.1321048632913019, 0.6404226504432821],
+    "choice": [60, 49, 79],
+    "integers": [81, 61, 49],
+}
+
+
+def _numpy_streams() -> dict:
+    return {
+        "normal": np.random.default_rng(0).normal(size=3).tolist(),
+        "choice": np.random.default_rng(0).choice(96, size=3, replace=False).tolist(),
+        "integers": np.random.default_rng(0).integers(0, 96, size=3).tolist(),
+    }
+
+
+def _assert_matches(got, want, path: str) -> None:
+    """Floats within 1e-12 relative; everything else, and the structure, exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float), (path, got)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), (path, got)
+        for key, value in want.items():
+            _assert_matches(got[key], value, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (path, got)
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    else:  # not_calculable strings, "inf"/"undef", counts, None
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_report_values(horizontal_report, vertical_report, reliability_report,
+                       segment_report, cost_report):
+    if _numpy_streams() != NUMPY_STREAMS:
+        pytest.skip("numpy's random streams differ from those the report values were drawn from")
+    want = json.loads(REPORT_VALUES.read_text(encoding="utf-8"))
+    reports = {
+        "reliability": reliability_report,
+        "validity_horizontal": horizontal_report,
+        "validity_vertical": vertical_report,
+        "segment_reliability": segment_report,
+        "cost_validity": cost_report,
+    }
+    assert reports.keys() == want.keys()
+    for name, report in reports.items():
+        got = json.loads(report.to_json())
+        del got["config"]
+        _assert_matches(got, want[name], name)

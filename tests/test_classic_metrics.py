@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from demandeval import DemandEvalError, EvaluationPair, compute_all
-from demandeval.errors import InvalidParams
+from demandeval.errors import InvalidConfig
 from demandeval.metrics import (
     METRIC_NAMES,
     _mean,
@@ -182,7 +182,7 @@ class TestComputeAll:
 
     @pytest.mark.parametrize("metrics", [("mae", "mae"), ("spec", "mae", "spec")])
     def test_duplicate_metric(self, model_a_pair, metrics):
-        with pytest.raises(InvalidParams, match="duplicate metric names"):
+        with pytest.raises(InvalidConfig, match="duplicate metric names"):
             compute_all(model_a_pair, metrics=metrics)
 
     def test_overflow_is_non_finite_without_warnings(self):
@@ -268,7 +268,7 @@ class TestComputeAll:
             assert (mape(pair), mdape(pair), rmspe(pair)) == want
 
     def test_empty_selection(self, model_a_pair):
-        with pytest.raises(InvalidParams, match="no metrics"):
+        with pytest.raises(InvalidConfig, match="no metrics"):
             compute_all(model_a_pair, metrics=())
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demandeval import DEFAULT_PARAMS, EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
-from demandeval.errors import DemandEvalError, EmptySeries, MalformedRow, NonContiguousTime
+from demandeval.errors import DemandEvalError, MalformedRow, SeriesError
 from demandeval.csvio import (
     PAIR_HEADER,
     _parse_pair_stream,
@@ -38,7 +38,7 @@ class TestParsePairCsv:
         assert list(parsed_b.forecast.values) == list(model_b_pair.forecast.values)
 
     def test_header_only(self):
-        with pytest.raises(EmptySeries):
+        with pytest.raises(SeriesError, match="input contains a header but no data rows"):
             parse_pair_csv(io.StringIO("t,actual,forecast\n"))
 
     def test_missing_header(self):
@@ -47,12 +47,12 @@ class TestParsePairCsv:
 
     def test_duplicate_t(self):
         text = "t,actual,forecast\n1,1,1\n1,2,2\n"
-        with pytest.raises(NonContiguousTime):
+        with pytest.raises(MalformedRow, match=r"line 3: expected t=2, got t=1 \(must run 1..n without gaps\)"):
             parse_pair_csv(io.StringIO(text))
 
     def test_gap_in_t(self):
         text = "t,actual,forecast\n1,1,1\n3,2,2\n"
-        with pytest.raises(NonContiguousTime):
+        with pytest.raises(MalformedRow, match=r"line 3: expected t=2, got t=3 \(must run 1..n without gaps\)"):
             parse_pair_csv(io.StringIO(text))
 
     def test_wrong_arity(self):
@@ -64,9 +64,7 @@ class TestParsePairCsv:
             parse_pair_csv(io.StringIO("t,actual,forecast\n1,x,2\n"))
 
     def test_negative_value_propagates_series_error(self):
-        from demandeval.errors import NegativeValue
-
-        with pytest.raises(NegativeValue):
+        with pytest.raises(SeriesError, match="series contains negative quantities"):
             parse_pair_csv(io.StringIO("t,actual,forecast\n1,-1,2\n"))
 
     def test_non_utf8_file(self, tmp_path):
@@ -88,7 +86,7 @@ class TestParsePairCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for source in (path, io.StringIO(text)):
-                with pytest.raises(EmptySeries, match="input contains a header but no data rows"):
+                with pytest.raises(SeriesError, match="input contains a header but no data rows"):
                     parse_pair_csv(source)
 
     def test_over_long_field_is_a_malformed_row(self):

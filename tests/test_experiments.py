@@ -4,7 +4,7 @@ Full desk-scale threshold checks live in test_acceptance.py; these tests use
 reduced counts so the whole module stays fast.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,9 @@ from demandeval import (
     run_segment_reliability_config,
     run_validity,
 )
+from demandeval import metrics
 from demandeval.errors import InvalidConfig
-from demandeval.experiments import derive_seed
+from demandeval.experiments import ExperimentReport, MetricOutcome, derive_seed
 
 DEMAND = DemandGenConfig(
     n=48, count_mu=5.0, count_sigma=1.0, magnitude_mu=10.0, magnitude_sigma=2.0, seed=0
@@ -117,6 +118,10 @@ class TestConfigValidation:
     def test_duplicate_variance_levels_rejected(self):
         with pytest.raises(InvalidConfig, match="variance_levels"):
             small_reliability(variance_levels=(1.0, 1.0))
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(InvalidConfig, match=r"^field 'sigma': must be >= 0, got -1\.0$"):
+            small_validity(sigma=-1.0)
 
     def test_negative_variance_level_rejected(self):
         with pytest.raises(InvalidConfig, match="'variance_levels': sigma values must be >= 0"):
@@ -260,6 +265,29 @@ class TestValidity:
         assert report.metrics["mape"].not_calculable is not None
         assert report.metrics["smape"].not_calculable is not None
         assert report.metrics["spec"].r is not None
+
+    def test_horizontal_does_not_score_percentage_family(self, monkeypatch):
+        def unscored(pair):
+            raise AssertionError("a horizontal study scored a percentage metric")
+
+        monkeypatch.setitem(metrics._METRIC_FUNCS, "mape", unscored)
+        monkeypatch.setitem(metrics._METRIC_FUNCS, "smape", unscored)
+        report = run_validity(small_validity(direction="horizontal", mu_levels=(1.0, 2.0, 3.0)))
+        assert report.metrics["mape"].not_calculable is not None
+        assert report.metrics["spec"].r is not None
+
+    def test_horizontal_with_only_percentage_metrics_still_reports(self):
+        config = small_validity(
+            direction="horizontal", mu_levels=(1.0, 2.0, 3.0), metrics=("mape", "mdape", "rmspe", "smape")
+        )
+        not_calculable = "percentage-family metric under horizontal shift"
+        assert run_validity(config) == ExperimentReport(
+            kind="validity",
+            seed=7,
+            config=asdict(config),
+            levels=(1.0, 2.0, 3.0),
+            metrics={m: MetricOutcome(metric=m, not_calculable=not_calculable) for m in config.metrics},
+        )
 
     def test_deterministic_report(self):
         config = small_validity()

@@ -1,8 +1,9 @@
-"""The package namespace: what ``import demandeval`` offers, and the README tour."""
+"""The package namespace: what ``import demandeval`` offers, the error vocabulary and the README tour."""
 
 import re
 
 import demandeval
+from demandeval import errors
 from conftest import REPO_ROOT
 
 PUBLIC_NAMES = {
@@ -47,3 +48,25 @@ def test_readme_library_tour_runs():
     namespace: dict = {}
     exec(compile(tour.group(1), "README.md", "exec"), namespace)
     assert namespace["forecast"].n == namespace["demand"].n == 96
+
+
+#: The exception classes of ``demandeval.errors``: one per kind of input a caller must fix.
+ERROR_CLASSES = {
+    "DemandEvalError",
+    "SeriesError",
+    "MalformedRow",
+    "InvalidConfig",
+    "StatsError",
+    "DegenerateInput",
+}
+
+
+def test_error_vocabulary():
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert defined == ERROR_CLASSES
+    for name in ERROR_CLASSES:
+        assert issubclass(getattr(errors, name), errors.DemandEvalError)
+    assert issubclass(errors.DegenerateInput, errors.StatsError)

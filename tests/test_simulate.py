@@ -15,7 +15,7 @@ from demandeval import (
     spec_fast,
 )
 from demandeval import simulate
-from demandeval.errors import InvalidConfig, NonFiniteValue, WindowTooLarge
+from demandeval.errors import InvalidConfig, SeriesError
 from demandeval.series import DemandSeries
 from demandeval.simulate import naive_forecast, segment_extracts
 from conftest import ACTUAL, MODEL_A_FORECAST
@@ -84,6 +84,8 @@ class TestGenerateDemand:
                 _config(**bad)
         with pytest.raises(InvalidConfig):
             ErrorInjectionConfig(vertical_sigma=True)
+        with pytest.raises(InvalidConfig, match=r"^horizontal_sigma must be >= 0, got -0\.5$"):
+            ErrorInjectionConfig(horizontal_sigma=-0.5)
 
 
 class TestPerturbForecast:
@@ -179,7 +181,7 @@ class TestPerturbForecast:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if not np.isfinite(want).all():
-                    with pytest.raises(NonFiniteValue):
+                    with pytest.raises(SeriesError, match="series contains NaN or infinite entries"):
                         perturb_forecast(actual, config)
                     continue
                 got = perturb_forecast(actual, config).values
@@ -253,7 +255,7 @@ class TestSegmentExtracts:
         assert all(x == y for x, y in zip(a, b))
 
     def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(InvalidConfig, match="window 3 exceeds series length 2"):
             segment_extracts(DemandSeries([1, 2]), window=3, count=1, seed=0)
 
     @pytest.mark.parametrize("window,count", [(True, 2), (2, True), (True, True), (2.0, 2)])

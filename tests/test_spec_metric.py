@@ -1,5 +1,7 @@
 """Golden values and behaviour of the cost-based score evaluators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from demandeval import (
     spec_fast,
     spec_literal,
 )
-from demandeval.errors import InvalidParams
+from demandeval.errors import InvalidConfig
 from conftest import ACTUAL, random_pair
 
 
@@ -22,14 +24,21 @@ class TestParams:
         assert DEFAULT_PARAMS.alpha2 == 0.25
 
     @pytest.mark.parametrize(
-        "a1,a2", [(-0.1, 0.5), (0.5, -1), (float("nan"), 1), (True, 0.5), (0.5, False)]
+        "a1,a2,message",
+        [
+            (-0.1, 0.5, "alpha1 must be >= 0, got -0.1"),
+            (0.5, -1, "alpha2 must be >= 0, got -1"),
+            (float("nan"), 1, "alpha1 must be a finite number, got nan"),
+            (True, 0.5, "alpha1 must be a finite number, got True"),
+            (0.5, False, "alpha2 must be a finite number, got False"),
+        ],
     )
-    def test_invalid_weights(self, a1, a2):
-        with pytest.raises(InvalidParams):
+    def test_invalid_weights(self, a1, a2, message):
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
             SpecParams(a1, a2)
 
     def test_both_zero_rejected(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidConfig, match="alpha1 and alpha2 cannot both be zero"):
             SpecParams(0.0, 0.0)
 
     def test_any_positive_weights_accepted(self):
@@ -177,7 +186,7 @@ class TestAlphaSweep:
         assert all(p.spec_value == 0.0 for p in spec_alpha_sweep(pair, 7))
 
     def test_grid_size_validation(self, model_a_pair):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidConfig, match="grid_size must be an integer >= 2, got 1"):
             spec_alpha_sweep(model_a_pair, 1)
 
     def test_matches_direct_evaluation(self, model_b_pair):

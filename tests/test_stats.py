@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from demandeval.errors import (
-    DegenerateInput,
-    GroupTooSmall,
-    InvalidDegreesOfFreedom,
-    LengthMismatch,
-    StatsError,
-    TooFewGroups,
-)
+from demandeval.errors import DegenerateInput, InvalidConfig, StatsError
 from demandeval.experiments import ExperimentReport
 from demandeval.stats import f_sf, levene, mean, pearson, variance
 
@@ -72,7 +65,7 @@ class TestPearson:
         assert pearson(list(-3 * xs), list(ys)) == pytest.approx(-base, abs=1e-12)
 
     def test_errors(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(StatsError, match="sequences have lengths 2 and 3"):
             pearson([1, 2], [1, 2, 3])
         with pytest.raises(DegenerateInput):
             pearson([1, 1, 1], [1, 2, 3])
@@ -148,9 +141,9 @@ class TestLevene:
         assert 0.02 <= hits / 400 <= 0.09
 
     def test_errors(self):
-        with pytest.raises(TooFewGroups):
+        with pytest.raises(StatsError, match="need at least 2 groups, got 1"):
             levene([[1, 2, 3]])
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(StatsError, match="every group needs at least 2 observations"):
             levene([[1, 2], [3]])
 
 
@@ -193,7 +186,7 @@ class TestFTail:
             f_sf(x, 2, 2)
 
     def test_invalid_dof(self):
-        with pytest.raises(InvalidDegreesOfFreedom):
+        with pytest.raises(InvalidConfig, match="d1 must be an integer >= 1, got 0"):
             f_sf(1.0, 0, 5)
-        with pytest.raises(InvalidDegreesOfFreedom):
+        with pytest.raises(InvalidConfig, match="d2 must be an integer >= 1, got -2"):
             f_sf(1.0, 5, -2)
