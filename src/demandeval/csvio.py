@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import MalformedRow, SeriesError
+from .errors import InvalidConfig, MalformedRow, SeriesError
 from .series import DemandSeries, EvaluationPair, ForecastSeries
 from .spec import AlphaSweepPoint, CostBreakdown, SpecParams
 
@@ -234,10 +234,10 @@ def decomposition_to_csv(breakdown: CostBreakdown) -> str:
 def sweep_to_csv(curves: dict[str, list[AlphaSweepPoint]]) -> str:
     """One row per grid point, one score column per labelled input."""
     labels = list(curves)
-    grids = [curve for curve in curves.values()]
+    grids = list(curves.values())
+    if not grids or any(len(g) != len(grids[0]) for g in grids):
+        raise InvalidConfig("sweep curves: need at least one, all on one grid")
     length = len(grids[0])
-    if any(len(g) != length for g in grids):
-        raise ValueError("all sweep curves must share one grid")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["alpha1", "alpha2"] + [f"spec_{label}" for label in labels])

@@ -16,7 +16,6 @@ the tolerances the test suite asserts.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
@@ -51,25 +50,11 @@ PERCENTAGE_METRICS = frozenset({"mape", "mdape", "rmspe", "smape"})
 _DIRECTIONS = ("vertical", "horizontal", "both")
 
 
-# numpy's SeedSequence constants (pool of 4 uint32 words, hashmix and mix).
+# numpy's SeedSequence constants (hashmix and mix).
 _MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(value) -> list[int]:
-    """The little-endian uint32 words of a non-negative integer, as SeedSequence splits it."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -93,50 +78,35 @@ def _mix(x, y):
 def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     """Deterministic substream seed: ``SeedSequence(root, spawn_key=key)``'s first uint64.
 
-    A port of numpy's ``SeedSequence`` pool mixing, pinned to it by the test
-    suite. When the last key element is a 1-d integer array (each value below
-    2**32), it stands for one key per value and the list of their seeds is
-    returned, derived in one pass. Parallel or out-of-order evaluation must
-    use these derived seeds rather than sharing one sequential stream.
+    ``root`` must be a non-negative int (numpy draws fresh entropy for None).
+    A 1-d integer array as the last key element (each value below 2**32)
+    stands for one key per value, and the list of their seeds is returned:
+    numpy mixes the pool of the root and the key prefix, and the last key
+    word is folded in here for the whole array in one pass. Parallel or
+    out-of-order evaluation must use these seeds, not one sequential stream.
     """
-    entropy = _words(root)
-    vector = False
-    if key:  # SeedSequence pads the root to the pool size so it cannot alias a spawn key
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-        *prefix, last = key
-        for part in prefix:
-            entropy += _words(part)
-        vector = isinstance(last, np.ndarray)
-        if not vector:
-            entropy += _words(last)
-        elif last.ndim != 1 or last.dtype.kind not in "iu":
-            raise ValueError(f"a key array must be 1-d of integers, got {last.dtype} {last.shape}")
-        elif last.size and (last.min() < 0 or last.max() > _MASK32):
-            raise ValueError("key array values must lie in [0, 2**32)")
-        else:
-            entropy.append(last.astype(np.uint64))
-
-    # mix_entropy: fill the pool, mix every pair, then fold in the extra words
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for extra in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            word, const = _hashmix(extra, const)
-            pool[dst] = _mix(pool[dst], word)
-
+    if not (key and isinstance(key[-1], np.ndarray)):
+        return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
+    *prefix, last = key
+    if last.ndim != 1 or last.dtype.kind not in "iu":
+        raise ValueError(f"a key array must be 1-d of integers, got {last.dtype} {last.shape}")
+    if last.size and (last.min() < 0 or last.max() > _MASK32):
+        raise ValueError("key array values must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(root, spawn_key=prefix).pool.tolist()
+    # numpy hashmixed each uint32 entropy word (the root's, padded to the pool
+    # size, then at least one per prefix element) once per pool word, which
+    # fixes the next constant.
+    words = max(len(pool), (int(root).bit_length() + 31) // 32)
+    words += sum((int(part).bit_length() + 31) // 32 or 1 for part in prefix)
+    const = _INIT_A * pow(_MULT_A, len(pool) * words, _MASK32 + 1) & _MASK32
+    word = last.astype(np.uint64)
+    for dst in range(len(pool)):
+        mixed, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], mixed)
     # generate_state(1, uint64): two output words from the first two pool words
     low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
     high, _ = _hashmix(pool[1], const, _MULT_B)
-    seed = low | high << 32
-    return seed.tolist() if vector else seed
+    return (low | high << 32).tolist()
 
 
 def _entries(name: str, values, kind: str) -> tuple:
@@ -442,13 +412,13 @@ def run_validity(config: ValidityConfig) -> ExperimentReport:
     dropped from some cells.
     """
     levels = config.mu_levels
-    cells = (
-        ((0, l_idx, s_idx), [(l_idx, mu, config.sigma, (1, l_idx, s_idx))])
-        for l_idx, mu in enumerate(levels)
-        for s_idx in range(config.series_count)
-    )
     horizontal = config.direction == "horizontal"
     bad = {m: 0 for m in config.metrics if not (horizontal and m in PERCENTAGE_METRICS)}
+    cells = (  # none when no metric is scored, so no series is drawn
+        ((0, l_idx, s_idx), [(l_idx, mu, config.sigma, (1, l_idx, s_idx))])
+        for l_idx, mu in enumerate(levels)
+        for s_idx in range(config.series_count if bad else 0)
+    )
     level_values = {m: [[] for _ in levels] for m in bad}
     for l_idx, values, _ in _pair_stream(config, config.direction, cells, bad):
         for m, block in values.items():

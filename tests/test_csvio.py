@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demandeval import DEFAULT_PARAMS, EvaluationPair, compute_all, spec_alpha_sweep, spec_decompose
-from demandeval.errors import DemandEvalError, MalformedRow, SeriesError
+from demandeval.errors import DemandEvalError, InvalidConfig, MalformedRow, SeriesError
 from demandeval.csvio import (
     PAIR_HEADER,
     _parse_pair_stream,
@@ -367,3 +367,9 @@ class TestPlotData:
         assert len(lines) == 6
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1"
+
+    def test_sweep_rejects_no_curves_and_unequal_grids(self, model_a_pair):
+        with pytest.raises(InvalidConfig, match="at least one"):
+            sweep_to_csv({})
+        with pytest.raises(InvalidConfig, match="one grid"):
+            sweep_to_csv({"a": spec_alpha_sweep(model_a_pair, 5), "b": spec_alpha_sweep(model_a_pair, 3)})

@@ -22,7 +22,7 @@ from demandeval import (
     run_segment_reliability_config,
     run_validity,
 )
-from demandeval import metrics
+from demandeval import experiments, metrics
 from demandeval.errors import InvalidConfig
 from demandeval.experiments import ExperimentReport, MetricOutcome, derive_seed
 
@@ -87,8 +87,9 @@ class TestSeedDerivation:
     def test_vector_form_matches_seed_sequence(self):
         rng = np.random.default_rng(12)
         values = np.array([0, 1, 2, 49, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=6)])
-        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, *(int(r) for r in rng.integers(0, 2**63, size=4))]
-        prefixes = [(), (0,), (1, 5), (1, 199, 4), (2**32, 3, 2**64 - 1)]
+        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130]
+        roots += [int(r) for r in rng.integers(0, 2**63, size=4)]
+        prefixes = [(), (0,), (1, 5), (1, 199, 4), (2**32, 3, 2**64 - 1), (7, 2**70 + 5)]
         for root in roots:
             for prefix in prefixes:
                 for dtype in (np.int64, np.uint32, np.uint64):
@@ -288,6 +289,16 @@ class TestValidity:
             levels=(1.0, 2.0, 3.0),
             metrics={m: MetricOutcome(metric=m, not_calculable=not_calculable) for m in config.metrics},
         )
+
+    def test_horizontal_with_only_percentage_metrics_draws_no_series(self, monkeypatch):
+        config = small_validity(direction="horizontal", mu_levels=(1.0, 2.0, 3.0), metrics=("mape", "smape"))
+        expected = run_validity(config).to_json()
+
+        def undrawn(demand_config):
+            raise AssertionError("a study with no scored metric drew a demand series")
+
+        monkeypatch.setattr(experiments, "generate_demand", undrawn)
+        assert run_validity(config).to_json() == expected
 
     def test_deterministic_report(self):
         config = small_validity()
