@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DemandEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,8 @@
 
 Pair CSVs are the canonical input format: UTF-8, header ``t,actual,forecast``,
 decimal point ``.``, 1-based contiguous time index, any newline convention.
+A pair file is read in one block-wise ``np.loadtxt`` pass; text streams, paths
+with a compressed suffix and whatever ``loadtxt`` rejects are read row by row.
 Pair values are written with Python's shortest round-trip float repr so a
 written pair re-parses to identical values. Metric reports render numbers at
 6 significant digits (pinned so golden files stay stable), infinities as
@@ -68,46 +70,36 @@ def dump_json(payload) -> str:
 
 def parse_pair_csv(source: str | Path | IO[str]) -> EvaluationPair:
     """Read an (actual, forecast) pair from a CSV file, path or text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            # loadtxt reads a path in blocks, but it fetches a path that parses
-            # as a URL and decompresses one by its suffix: give it an absolute
-            # path, and none with such a suffix
-            path = os.path.abspath(source)
-            try:
-                return _parse_pair_bulk(handle, None if path.endswith(_COMPRESSED) else path)
-            except UnicodeDecodeError as exc:
-                raise MalformedRow(f"{source}: not UTF-8 text ({exc})") from None
-    return _parse_pair_bulk(io.StringIO(source.read(), newline=""))
+    if not isinstance(source, (str, Path)):
+        # newline="" lets the csv reader split a stream on a lone \r too
+        return _parse_pair_stream(io.StringIO(source.read(), newline=""))
+    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            # loadtxt fetches a path that parses as a URL: give it an absolute one
+            return _parse_pair_bulk(handle, os.path.abspath(source))
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"{source}: not UTF-8 text ({exc})") from None
 
 
-def _parse_pair_bulk(handle: IO[str], path: str | None = None) -> EvaluationPair:
-    """Read the data rows in one ``np.loadtxt`` pass, from ``path`` when given
-    (``handle`` is open on it), else streaming from ``handle``.
+def _parse_pair_bulk(handle: IO[str], path: str) -> EvaluationPair:
+    """Read ``path``, open as ``handle``, in one block-wise ``np.loadtxt`` pass.
 
-    ``loadtxt`` reads a path in blocks but a handle line by line, so a file
-    is read by path once ``handle`` has checked its header and first row.
     ``loadtxt`` takes a strict subset of what the row loop accepts: no quoted
-    fields, no ``_`` in numbers, no whitespace-only lines. Whatever it does
-    not take -- and every malformed input -- is read again from the start by
+    fields, no ``_`` in numbers, no whitespace-only lines, no compressed suffix
+    (it would decompress the file). Whatever it does not take -- and every
+    malformed input -- is read again from the start by
     :func:`_parse_pair_stream`, the one path that reports line-numbered
     errors, so both give the same values or the same error.
     """
     header = handle.readline()
-    body = handle.tell()
     # A first non-blank data row means loadtxt never meets an empty body.
     if tuple(cell.strip().lower() for cell in header.split(",")) == PAIR_HEADER and (
-        handle.readline().strip()
+        handle.readline().strip() and not path.endswith(_COMPRESSED)
     ):
-        if path is None:
-            handle.seek(body)
-            source, skiprows = handle, 0
-        else:
-            source, skiprows = path, 1
         try:
             rows = np.loadtxt(
-                source, delimiter=",", comments=None, ndmin=1, dtype=_PAIR_DTYPE,
-                skiprows=skiprows, encoding="utf-8-sig",
+                path, delimiter=",", comments=None, ndmin=1, dtype=_PAIR_DTYPE,
+                skiprows=1, encoding="utf-8-sig",
             )
         except ValueError:  # includes UnicodeDecodeError
             pass

@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvio import dump_json, json_number
 from .errors import DegenerateInput, InvalidConfig, StatsError, check_int, check_number, check_seed
-from .metrics import METRIC_NAMES, compute_metric
+from .metrics import _entries, _metric_names, compute_metric
 from .series import DemandSeries, EvaluationPair
 from .simulate import (
     DemandGenConfig,
@@ -109,27 +109,6 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     return (low | high << 32).tolist()
 
 
-def _entries(name: str, values, kind: str) -> tuple:
-    try:
-        if not isinstance(values, (str, dict)):  # tuple() would split a str, key a dict
-            return tuple(values)
-    except TypeError:
-        pass
-    raise InvalidConfig(f"field '{name}': expected a list of {kind}, got {values!r}")
-
-
-def _metric_names(metrics: Sequence[str]) -> tuple[str, ...]:
-    names = _entries("metrics", metrics, "metric names")
-    if not names:
-        raise InvalidConfig("field 'metrics': at least one metric is required")
-    unknown = [m for m in names if m not in METRIC_NAMES]
-    if unknown:
-        raise InvalidConfig(f"field 'metrics': unknown metric names {unknown!r}")
-    if len(set(names)) != len(names):
-        raise InvalidConfig("field 'metrics': duplicate metric names")
-    return names
-
-
 def _numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
     entries = _entries(name, values, "numbers")
     for v in entries:
@@ -153,6 +132,8 @@ def _load(cls, data: dict, prefix: str = ""):
     loaded the same way. Errors raised while building carry ``prefix``;
     unknown fields are reported only once the rest is valid.
     """
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{prefix}expected an object, got {type(data).__name__}")
     given = dict(data)
     kwargs = {}
     try:

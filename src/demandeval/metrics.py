@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -176,6 +177,28 @@ _METRIC_FUNCS = {
 METRIC_NAMES = (*_METRIC_FUNCS, "spec")
 
 
+def _entries(name: str, values, kind: str) -> tuple:
+    try:
+        if not isinstance(values, (str, dict)):  # tuple() would split a str, key a dict
+            return tuple(values)
+    except TypeError:
+        pass
+    raise InvalidConfig(f"field '{name}': expected a list of {kind}, got {values!r}")
+
+
+def _metric_names(metrics: Sequence[str]) -> tuple[str, ...]:
+    names = _entries("metrics", metrics, "metric names")
+    if not names:
+        raise InvalidConfig("field 'metrics': at least one metric is required; no metrics selected")
+    unknown = [m for m in names if m not in METRIC_NAMES]
+    if unknown:
+        known = ", ".join(METRIC_NAMES)
+        raise InvalidConfig(f"field 'metrics': unknown metric names {unknown!r}; known: {known}")
+    if len(set(names)) != len(names):
+        raise InvalidConfig("field 'metrics': duplicate metric names")
+    return names
+
+
 def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> ExtendedValue:
     """Evaluate a single metric by report name.
 
@@ -193,11 +216,7 @@ def compute_all(
     metrics: tuple[str, ...] | list[str] | None = None,
 ) -> dict[str, float]:
     """Evaluate the requested metrics (default: all; no repeats) for one pair, in request order."""
-    names = METRIC_NAMES if metrics is None else tuple(metrics)
-    if not names:
-        raise InvalidConfig("no metrics selected")
-    if len(set(names)) != len(names):
-        raise InvalidConfig("duplicate metric names")
+    names = METRIC_NAMES if metrics is None else _metric_names(metrics)
     # Values past the float range become inf or nan, which the report renders.
     with np.errstate(over="ignore", invalid="ignore"):
         return {name: compute_metric(name, pair, params).value for name in names}

@@ -267,6 +267,11 @@ class TestComputeAll:
         with np.errstate(over="ignore"):
             assert (mape(pair), mdape(pair), rmspe(pair)) == want
 
+    @pytest.mark.parametrize("metrics", ["mae", {"mae": 1}, 3, [["mae"]], [{"mae"}]])
+    def test_selection_that_is_not_a_list_of_names(self, model_a_pair, metrics):
+        with pytest.raises(InvalidConfig, match="field 'metrics': "):
+            compute_all(model_a_pair, metrics=metrics)
+
     def test_empty_selection(self, model_a_pair):
         with pytest.raises(InvalidConfig, match="no metrics"):
             compute_all(model_a_pair, metrics=())

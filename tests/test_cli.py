@@ -158,6 +158,16 @@ class TestScore:
             assert captured.out == "" and named in captured.err
 
 
+def test_unexpected_exception_exits_1(model_a_csv, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("demandeval.cli._cmd_score", broken)
+    assert run_cli("score", "--input", model_a_csv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: boom\n"
+
+
 class TestDecompose:
     def test_perfect_forecast_all_zero_rows(self, tmp_path):
         pair_path = tmp_path / "perfect.csv"

@@ -191,7 +191,7 @@ class TestBulkReaderAgreesWithRowLoop:
 
 
 #: Texts that must read the same from a path, which loadtxt takes in blocks,
-#: and from a stream, which it takes line by line.
+#: and from a stream, which the row loop reads row by row.
 NEWLINE_CORPUS = {
     "lf": H + "1,2,3\n2,0,1.5\n3,4,0\n",
     "crlf": H.replace("\n", "\r\n") + "1,2,3\r\n2,0,1.5\r\n3,4,0\r\n",

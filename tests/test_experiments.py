@@ -222,6 +222,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="field 'demand': expected an object"):
             ReliabilityConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data,kind", [("x", "str"), ([("seed", 1)], "list")])
+    def test_from_dict_rejects_a_non_object(self, data, kind):
+        with pytest.raises(InvalidConfig, match=f"^expected an object, got {kind}$"):
+            ReliabilityConfig.from_dict(data)
+
     def test_from_dict_rejects_demand_seed(self):
         # every runner derives per-series seeds from the top-level seed
         data = {

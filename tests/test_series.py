@@ -54,4 +54,4 @@ class TestEvaluationPair:
 
     def test_n(self):
         pair = EvaluationPair.from_values([1, 2], [2, 1])
-        assert pair.n == 2
+        assert pair.n == len(pair.actual) == len(pair.forecast) == 2
