@@ -152,12 +152,14 @@ def mase(pair: EvaluationPair) -> float:
     mae / (sum_{t=2..n} |y_t - y_{t-1}| / (n-1)). Undefined (NaN) only when
     the actual series is constant.
     """
-    return _naive_scaled(_mean, np.abs(_errors(pair)), np.abs(np.diff(pair.actual.values)))
+    y = pair.actual.values
+    return _naive_scaled(_mean, np.abs(_errors(pair)), np.abs(y[1:] - y[:-1]))
 
 
 def rmsse(pair: EvaluationPair) -> float:
     """Root mean squared scaled error: sqrt(mse / mean squared naive step), NaN where mase is."""
-    return _naive_scaled(_mean_square, _errors(pair), np.diff(pair.actual.values), math.sqrt)
+    y = pair.actual.values
+    return _naive_scaled(_mean_square, _errors(pair), y[1:] - y[:-1], math.sqrt)
 
 
 _METRIC_FUNCS = {

@@ -11,7 +11,12 @@ cost), and the grand total is divided by the series length.
 
 One production kernel computes it: an O(n) FIFO walk that nets deliveries
 against demand only at steps with volume and writes the charge at every
-step into two float arrays, so it holds no Python object per step.
+step into two float arrays, so it holds no Python object per step. A series
+of up to ``_CHUNK`` steps is walked one Python step at a time; a longer one
+is taken in chunks of ``_CHUNK`` steps, netting in Python at the volume
+steps only while numpy fills the charges in between. Both paths take each
+charge by the same float operations and sum the charges in step order, so
+they give the same bits.
 :func:`spec_fast` (the score),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
@@ -139,6 +144,9 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
     return total / n
 
 
+_CHUNK = 1024  # steps per chunk of _chunk_charges, and the longest series _walk_charges takes
+
+
 def _fifo_charges(
     y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -153,7 +161,21 @@ def _fifo_charges(
     (t+1)*sum(q) - sum(q*origin). The charges go into two float arrays, so
     no Python float is kept per step. The total is accumulated in step order;
     :func:`spec_fast` returns it divided by n, so its bits depend on that order.
+
+    A series of up to ``_CHUNK`` steps is walked step by step
+    (:func:`_walk_charges`), where numpy's per-call cost would outweigh its
+    speed; a longer one nets only at its volume steps and fills the charges in
+    between with numpy (:func:`_chunk_charges`). Both give the same bits.
     """
+    if y.size <= _CHUNK:
+        return _walk_charges(y, f, alpha1, alpha2)
+    return _chunk_charges(y, f, alpha1, alpha2)
+
+
+def _walk_charges(
+    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_fifo_charges` by one Python step per step of the series."""
     n = y.size
     opp, stock = np.zeros(n), np.zeros(n)
     opp_at, stock_at = memoryview(opp), memoryview(stock)
@@ -205,6 +227,92 @@ def _fifo_charges(
             charge = alpha2 * ((t + 1) * held_q - held_qt)
             stock_at[t - 1] = charge
             total += charge
+    return opp, stock, total
+
+
+def _chunk_charges(
+    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_fifo_charges` by chunks of ``_CHUNK`` steps: Python nets the
+    queues at a chunk's volume steps only, as :func:`_walk_charges` does, and
+    numpy forward-fills the open side's (Q, QT) over the chunk and computes
+    each charge from it.
+
+    The bits are the walk's. Between volume steps the aggregates do not
+    change, and each charge takes the walk's float operations in its order;
+    a side the walk does not charge (its Q not above 0) is filled with
+    Q = QT = 0, whose charge is +0.0. At most one side is open at a step, so
+    adding the two charges changes neither, and ``add.accumulate`` sums in
+    step order from the running total, as the walk's ``total += charge``.
+    Holds one chunk's temporaries beyond the two charge arrays.
+    """
+    n = y.size
+    opp, stock = np.empty(n), np.empty(n)
+
+    owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
+    held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
+    owed_q = owed_qt = 0.0
+    held_q = held_qt = 0.0
+
+    state = [0.0, 0.0, 0.0, 0.0]  # charged (owed_q, owed_qt, held_q, held_qt) in force
+    total = 0.0
+    # numpy warns where the walk's Python floats overflow to inf or give nan silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            yc, fc = y[lo:hi], f[lo:hi]
+            vm = (yc > 0.0) | (fc > 0.0)
+            at = vm.nonzero()[0]
+            table = state
+            for t, yt, ft in zip((at + (lo + 1)).tolist(), yc[at].tolist(), fc[at].tolist()):
+                if yt > 0.0:
+                    owed.append([t, yt])
+                    owed_q += yt
+                    owed_qt += yt * t
+                if ft > 0.0:
+                    held.append([t, ft])
+                    held_q += ft
+                    held_qt += ft * t
+                while owed and held:
+                    d = owed[0]
+                    s = held[0]
+                    c = d[1] if d[1] <= s[1] else s[1]
+                    d[1] -= c
+                    s[1] -= c
+                    owed_q -= c
+                    owed_qt -= c * d[0]
+                    held_q -= c
+                    held_qt -= c * s[0]
+                    if d[1] <= 0.0:
+                        owed.popleft()
+                    if s[1] <= 0.0:
+                        held.popleft()
+                if not owed:
+                    owed_q = owed_qt = 0.0
+                if not held:
+                    held_q = held_qt = 0.0
+                # after netting one queue is empty, so at most one side is charged
+                if owed_q > 0.0:
+                    table += (owed_q, owed_qt, 0.0, 0.0)
+                elif held_q > 0.0:
+                    table += (0.0, 0.0, held_q, held_qt)
+                else:
+                    table += (0.0, 0.0, 0.0, 0.0)
+            state = table[-4:]
+            # row i of the table is the state after the chunk's i-th volume step
+            owed_q_at, owed_qt_at, held_q_at, held_qt_at = (
+                np.array(table, dtype=float).reshape(-1, 4).take(vm.cumsum(), axis=0).T)
+            t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
+            opp_c, stock_c = opp[lo:hi], stock[lo:hi]
+            np.multiply(t1, owed_q_at, out=opp_c)
+            np.subtract(opp_c, owed_qt_at, out=opp_c)
+            np.multiply(alpha1, opp_c, out=opp_c)
+            np.multiply(t1, held_q_at, out=stock_c)
+            np.subtract(stock_c, held_qt_at, out=stock_c)
+            np.multiply(alpha2, stock_c, out=stock_c)
+            charge = opp_c + stock_c
+            charge[0] += total
+            total = float(np.add.accumulate(charge, out=charge)[-1])
     return opp, stock, total
 
 

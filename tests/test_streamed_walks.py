@@ -8,6 +8,12 @@ every step, and the oracle walked ``.tolist()`` copies of both series. The
 streamed forms must give the same score, per-step split, sweep and cost bit
 for bit, NaN equal to NaN, on every kind of pair, including pairs whose
 charges pass the float range and take the rescaled pass.
+
+The kernel has two paths, chosen by series length: up to ``spec._CHUNK``
+steps ``spec._walk_charges`` walks every step, and a longer series goes to
+``spec._chunk_charges``, which nets only at volume steps and fills the charges
+chunk by chunk with numpy. The twin test covers both: ``_pairs`` are all
+walked, ``_long_pairs`` all chunked.
 """
 
 import math
@@ -126,27 +132,28 @@ def _list_stock_cost(pair, params):
     return total / n
 
 
+def _random_pair(rng, n, kind):
+    """One random pair of n steps, of one of four kinds."""
+    if kind == 0:  # sparse lumpy
+        density = rng.uniform(0.05, 0.4)
+        actual = rng.uniform(0.1, 50, n) * (rng.random(n) < density)
+        forecast = rng.uniform(0.1, 50, n) * (rng.random(n) < density)
+    elif kind == 1:  # dense whole units
+        actual = rng.integers(0, 13, n).astype(float)
+        forecast = rng.integers(0, 13, n).astype(float)
+    elif kind == 2:  # 1e-300 .. 1e308, often past the float range once summed
+        actual = 10.0 ** rng.uniform(-300, 308, n) * (rng.random(n) < 0.5)
+        forecast = 10.0 ** rng.uniform(-300, 308, n) * (rng.random(n) < 0.5)
+    else:  # one side empty, or one step
+        actual = rng.uniform(0, 20, n) * (rng.random() < 0.5)
+        forecast = rng.uniform(0, 20, n) * (rng.random() < 0.5)
+    return EvaluationPair.from_values(actual, forecast)
+
+
 def _pairs():
     """2,000 random pairs of four kinds, plus all-zero and one-step pairs."""
     rng = np.random.default_rng(1414)
-    pairs = []
-    for i in range(2_000):
-        n = int(rng.integers(1, 121))
-        kind = i % 4
-        if kind == 0:  # sparse lumpy
-            density = rng.uniform(0.05, 0.4)
-            actual = rng.uniform(0.1, 50, n) * (rng.random(n) < density)
-            forecast = rng.uniform(0.1, 50, n) * (rng.random(n) < density)
-        elif kind == 1:  # dense whole units
-            actual = rng.integers(0, 13, n).astype(float)
-            forecast = rng.integers(0, 13, n).astype(float)
-        elif kind == 2:  # 1e-300 .. 1e308, often past the float range once summed
-            actual = 10.0 ** rng.uniform(-300, 308, n) * (rng.random(n) < 0.5)
-            forecast = 10.0 ** rng.uniform(-300, 308, n) * (rng.random(n) < 0.5)
-        else:  # one side empty, or one step
-            actual = rng.uniform(0, 20, n) * (rng.random() < 0.5)
-            forecast = rng.uniform(0, 20, n) * (rng.random() < 0.5)
-        pairs.append(EvaluationPair.from_values(actual, forecast))
+    pairs = [_random_pair(rng, int(rng.integers(1, 121)), i % 4) for i in range(2_000)]
     for actual, forecast in (([0.0], [0.0]), ([0.0] * 50, [0.0] * 50), ([3.0], [5.0]),
                              ([5.0], [3.0]), ([1e308], [0.0]), ([0.0], [1e308])):
         pairs.append(EvaluationPair.from_values(actual, forecast))
@@ -175,21 +182,44 @@ def _same(a, b) -> bool:
     )
 
 
+def _long_pairs():
+    """Pairs longer than the kernel's chunk, which it walks chunk by chunk:
+    each kind of :func:`_random_pair` at lengths from one chunk and a step to
+    about 5,000, and single batches that stay open across chunk boundaries."""
+    chunk = spec._CHUNK
+    rng = np.random.default_rng(1415)
+    pairs = [_random_pair(rng, n, kind) for n in (chunk + 1, 2 * chunk, 2 * chunk + 1, 3_001, 4_999)
+             for kind in range(4)]
+    for early, late in ((chunk - 1, 2 * chunk + 9), (chunk - 1, chunk), (0, 3 * chunk - 1)):
+        for late_side in (0, 1):
+            sides = np.zeros((2, 3 * chunk))
+            sides[1 - late_side, early] = 7.5
+            sides[late_side, late] = 7.5 if early else 3.0  # a remainder stays open to the end
+            pairs.append(EvaluationPair.from_values(*sides))
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def pairs():
     return _pairs()
 
 
-def test_kernel_matches_its_list_twin(pairs, monkeypatch):
-    got = [_kernel_results(pair) for pair in pairs]
+@pytest.fixture(scope="module")
+def long_pairs():
+    return _long_pairs()
+
+
+def test_kernel_matches_its_list_twin(pairs, long_pairs, monkeypatch):
+    got = [_kernel_results(pair) for pair in pairs + long_pairs]
     monkeypatch.setattr(spec, "_fifo_charges", _list_fifo_charges)
-    want = [_kernel_results(pair) for pair in pairs]
-    for pair, got_results, want_results in zip(pairs, got, want):
+    want = [_kernel_results(pair) for pair in pairs + long_pairs]
+    for pair, got_results, want_results in zip(pairs + long_pairs, got, want):
         for g, w in zip(got_results, want_results):
             assert _same(g, w), (pair, g, w)
-    # the rescaled pass was taken
-    assert any(not math.isfinite(_list_fifo_charges(pair.actual.values, pair.forecast.values,
-                                                    1.0, 1.0)[2]) for pair in pairs)
+    # the rescaled pass was taken on both sides of the kernel's length selection
+    for pair_set in (pairs, long_pairs):
+        assert any(not math.isfinite(_list_fifo_charges(pair.actual.values, pair.forecast.values,
+                                                        1.0, 1.0)[2]) for pair in pair_set)
 
 
 def test_stock_cost_matches_its_list_twin(pairs):
