@@ -45,7 +45,7 @@ from .experiments import (
 from .metrics import METRIC_NAMES, compute_all
 from .simulate import DemandGenConfig, ErrorInjectionConfig, generate_demand, perturb_forecast
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, spec_alpha_sweep, spec_decompose
+from .spec import DEFAULT_PARAMS, MAX_GRID_SIZE, SpecParams, spec_alpha_sweep, spec_decompose
 from .svg import render_decomposition_svg, render_sweep_svg
 
 
@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="score along alpha1 = 0..1, alpha2 = 1-alpha1")
     p.add_argument("--input", action="append", required=True, help="pair CSV (repeatable)")
-    p.add_argument("--grid-size", type=int, default=101)
+    p.add_argument("--grid-size", type=int, default=101,
+                   help=f"points on the alpha1 grid, 2 to {MAX_GRID_SIZE:,} (default 101)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", default=None, help="optional line-chart SVG path")
     p.set_defaults(func=_cmd_sweep)

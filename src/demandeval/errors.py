@@ -44,10 +44,13 @@ def check_number(name: str, value: float, minimum: float | None = None) -> None:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_int(name: str, value: int, minimum: int) -> None:
-    """Raise :class:`InvalidConfig` unless ``value`` is an int (not a bool) of at least ``minimum``."""
+def check_int(name: str, value: int, minimum: int, maximum: int | None = None) -> None:
+    """Raise :class:`InvalidConfig` unless ``value`` is an int (not a bool) of at least ``minimum``
+    and, when ``maximum`` is given, at most ``maximum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidConfig(f"{name} must be an integer <= {maximum}, got {value!r}")
 
 
 def check_seed(name: str, value: int) -> None:

@@ -9,15 +9,14 @@ been charged 1 + 2 + ... + k times by the end. Owed units are weighted by
 ``alpha1`` (opportunity cost), stored units by ``alpha2`` (stock-keeping
 cost), and the grand total is divided by the series length.
 
-One production kernel computes it: an O(n) FIFO walk that nets deliveries
-against demand only at steps with volume and writes the charge at every
-step into two float arrays, so it holds no Python object per step. A series
-of up to ``_CHUNK`` steps is walked one Python step at a time; a longer one
-is taken in chunks of ``_CHUNK`` steps, netting in Python at the volume
-steps only while numpy fills the charges in between. Both paths take each
+One production kernel computes it: an O(n) FIFO walk that takes the series
+in chunks of ``_CHUNK`` steps, nets deliveries against demand in Python at
+the steps with volume only, at every length, and writes the charge at every
+step into two float arrays, so it holds no Python object per step. The
+length selects only how the charges between volume steps are filled: in
+Python up to ``_CHUNK`` steps, with numpy beyond. Both fills take each
 charge by the same float operations and sum the charges in step order, so
-they give the same bits.
-:func:`spec_fast` (the score),
+they give the same bits. :func:`spec_fast` (the score),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
 the normative reference: a direct O(n^2) transcription of the definition,
@@ -144,7 +143,7 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
     return total / n
 
 
-_CHUNK = 1024  # steps per chunk of _chunk_charges, and the longest series _walk_charges takes
+_CHUNK = 1024  # steps per chunk, and the longest series whose charges are filled in Python
 
 
 def _fifo_charges(
@@ -153,30 +152,31 @@ def _fifo_charges(
     """Weighted owed and held charges at each step (0-based) and their total,
     for demand ``y`` and deliveries ``f``.
 
-    Maintains FIFO queues of still-open demand and delivery batches, netting
-    them against each other at each step with volume; at any other step at
-    least one queue is empty, so there is nothing to net. The age-weighted
-    charge for a whole queue is computed in O(1) from the running aggregates
-    sum(q) and sum(q * origin), since sum(q * (t - origin + 1)) =
-    (t+1)*sum(q) - sum(q*origin). The charges go into two float arrays, so
-    no Python float is kept per step. The total is accumulated in step order;
-    :func:`spec_fast` returns it divided by n, so its bits depend on that order.
+    Walks the series in chunks of ``_CHUNK`` steps and nets FIFO queues of
+    still-open demand and delivery batches against each other at the steps
+    with volume only: between two of them at least one queue is empty and
+    nothing changes. A queue's age-weighted charge at step t is
+    (t+1)*Q - QT, from its running aggregates Q = sum(q) and
+    QT = sum(q * origin), and only a side with Q > 0 is charged. The total is
+    summed in step order; :func:`spec_fast` returns it over n, so its bits
+    depend on that order.
 
-    A series of up to ``_CHUNK`` steps is walked step by step
-    (:func:`_walk_charges`), where numpy's per-call cost would outweigh its
-    speed; a longer one nets only at its volume steps and fills the charges in
-    between with numpy (:func:`_chunk_charges`). Both give the same bits.
+    Before netting at a volume step, and at a volume-free step that closes
+    each chunk, the run of steps since the last one is charged from the
+    aggregates in force. Up to ``_CHUNK`` steps, where numpy's per-call cost
+    would outweigh its speed, Python charges the run step by step; beyond,
+    the run's charged (Q, QT) becomes a table row that numpy forward-fills
+    over the chunk. Both fills give the same bits: each charge is
+    ``alpha * ((t + 1) * Q - QT)``, the uncharged side's row is
+    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged, and
+    ``add.accumulate`` sums in sequence from the running total. A row is
+    owed, held or zeros by Q > 0, not by which queue is open, since an open
+    queue can hold a float residue Q <= 0 that is not charged. The charges
+    go into two float arrays, plus one chunk's temporaries; no Python float
+    is kept per step.
     """
-    if y.size <= _CHUNK:
-        return _walk_charges(y, f, alpha1, alpha2)
-    return _chunk_charges(y, f, alpha1, alpha2)
-
-
-def _walk_charges(
-    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_fifo_charges` by one Python step per step of the series."""
     n = y.size
+    fill_in_python = n <= _CHUNK
     opp, stock = np.zeros(n), np.zeros(n)
     opp_at, stock_at = memoryview(opp), memoryview(stock)
 
@@ -186,11 +186,35 @@ def _walk_charges(
     held_q = held_qt = 0.0
 
     total = 0.0
-    t = 0
-    # memoryview yields one float at a time; .tolist() would hold 2n at once
-    for yt, ft in zip(memoryview(y), memoryview(f)):
-        t += 1
-        if yt > 0.0 or ft > 0.0:
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        yc, fc = y[lo:hi], f[lo:hi]
+        vm = np.logical_or(yc, fc)  # the series are non-negative: volume where either is > 0
+        at = vm.nonzero()[0]
+        run_lo = lo + 1
+        table: list[float] = []  # row i: (owed_q, owed_qt, held_q, held_qt) charged after i volume steps
+        # the volume steps, then a step without volume that closes the chunk's last run;
+        # unnamed, so the lists are freed before the numpy fill's temporaries exist
+        for t, yt, ft in zip((at + (lo + 1)).tolist() + [hi + 1], yc[at].tolist() + [0.0],
+                             fc[at].tolist() + [0.0]):
+            if fill_in_python:
+                if owed_q > 0.0:
+                    for step in range(run_lo, t):
+                        charge = alpha1 * ((step + 1) * owed_q - owed_qt)
+                        opp_at[step - 1] = charge
+                        total += charge
+                elif held_q > 0.0:
+                    for step in range(run_lo, t):
+                        charge = alpha2 * ((step + 1) * held_q - held_qt)
+                        stock_at[step - 1] = charge
+                        total += charge
+                run_lo = t
+            elif owed_q > 0.0:
+                table += (owed_q, owed_qt, 0.0, 0.0)
+            elif held_q > 0.0:
+                table += (0.0, 0.0, held_q, held_qt)
+            else:
+                table += (0.0, 0.0, 0.0, 0.0)
             if yt > 0.0:
                 owed.append([t, yt])
                 owed_q += yt
@@ -219,91 +243,14 @@ def _walk_charges(
                 owed_q = owed_qt = 0.0
             if not held:
                 held_q = held_qt = 0.0
-        if owed_q > 0.0:
-            charge = alpha1 * ((t + 1) * owed_q - owed_qt)
-            opp_at[t - 1] = charge
-            total += charge
-        if held_q > 0.0:
-            charge = alpha2 * ((t + 1) * held_q - held_qt)
-            stock_at[t - 1] = charge
-            total += charge
-    return opp, stock, total
-
-
-def _chunk_charges(
-    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_fifo_charges` by chunks of ``_CHUNK`` steps: Python nets the
-    queues at a chunk's volume steps only, as :func:`_walk_charges` does, and
-    numpy forward-fills the open side's (Q, QT) over the chunk and computes
-    each charge from it.
-
-    The bits are the walk's. Between volume steps the aggregates do not
-    change, and each charge takes the walk's float operations in its order;
-    a side the walk does not charge (its Q not above 0) is filled with
-    Q = QT = 0, whose charge is +0.0. At most one side is open at a step, so
-    adding the two charges changes neither, and ``add.accumulate`` sums in
-    step order from the running total, as the walk's ``total += charge``.
-    Holds one chunk's temporaries beyond the two charge arrays.
-    """
-    n = y.size
-    opp, stock = np.empty(n), np.empty(n)
-
-    owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
-    held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
-    owed_q = owed_qt = 0.0
-    held_q = held_qt = 0.0
-
-    state = [0.0, 0.0, 0.0, 0.0]  # charged (owed_q, owed_qt, held_q, held_qt) in force
-    total = 0.0
-    # numpy warns where the walk's Python floats overflow to inf or give nan silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            yc, fc = y[lo:hi], f[lo:hi]
-            vm = (yc > 0.0) | (fc > 0.0)
-            at = vm.nonzero()[0]
-            table = state
-            for t, yt, ft in zip((at + (lo + 1)).tolist(), yc[at].tolist(), fc[at].tolist()):
-                if yt > 0.0:
-                    owed.append([t, yt])
-                    owed_q += yt
-                    owed_qt += yt * t
-                if ft > 0.0:
-                    held.append([t, ft])
-                    held_q += ft
-                    held_qt += ft * t
-                while owed and held:
-                    d = owed[0]
-                    s = held[0]
-                    c = d[1] if d[1] <= s[1] else s[1]
-                    d[1] -= c
-                    s[1] -= c
-                    owed_q -= c
-                    owed_qt -= c * d[0]
-                    held_q -= c
-                    held_qt -= c * s[0]
-                    if d[1] <= 0.0:
-                        owed.popleft()
-                    if s[1] <= 0.0:
-                        held.popleft()
-                if not owed:
-                    owed_q = owed_qt = 0.0
-                if not held:
-                    held_q = held_qt = 0.0
-                # after netting one queue is empty, so at most one side is charged
-                if owed_q > 0.0:
-                    table += (owed_q, owed_qt, 0.0, 0.0)
-                elif held_q > 0.0:
-                    table += (0.0, 0.0, held_q, held_qt)
-                else:
-                    table += (0.0, 0.0, 0.0, 0.0)
-            state = table[-4:]
-            # row i of the table is the state after the chunk's i-th volume step
-            owed_q_at, owed_qt_at, held_q_at, held_qt_at = (
-                np.array(table, dtype=float).reshape(-1, 4).take(vm.cumsum(), axis=0).T)
-            t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
-            opp_c, stock_c = opp[lo:hi], stock[lo:hi]
+        if fill_in_python:
+            continue
+        owed_q_at, owed_qt_at, held_q_at, held_qt_at = (
+            np.array(table, dtype=float).reshape(-1, 4).take(vm.cumsum(), axis=0).T)
+        t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
+        opp_c, stock_c = opp[lo:hi], stock[lo:hi]
+        # numpy warns where Python floats overflow to inf or give nan silently
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(t1, owed_q_at, out=opp_c)
             np.subtract(opp_c, owed_qt_at, out=opp_c)
             np.multiply(alpha1, opp_c, out=opp_c)
@@ -387,13 +334,18 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     )
 
 
+MAX_GRID_SIZE = 1_000_001  # most points :func:`spec_alpha_sweep` takes: a step of 1e-6 in alpha1
+
+
 def spec_alpha_sweep(pair: EvaluationPair, grid_size: int) -> list[AlphaSweepPoint]:
-    """Score the pair along alpha1 = 0 .. 1 with alpha2 = 1 - alpha1.
+    """Score the pair along alpha1 = 0 .. 1 with alpha2 = 1 - alpha1, at
+    ``grid_size`` evenly spaced points, 2 to :data:`MAX_GRID_SIZE`.
 
     Uses one weight-free pass of the O(n) kernel and the score's linearity
-    in the weights, so the cost does not grow with the grid size.
+    in the weights, so the kernel's cost does not grow with the grid size;
+    the points themselves are Python objects, hence the bound.
     """
-    check_int("grid_size", grid_size, 2)
+    check_int("grid_size", grid_size, 2, MAX_GRID_SIZE)
     opp_units, stock_units, k = _unit_charges(pair)
     opp_total, stock_total = float(opp_units.sum()), float(stock_units.sum())
     alphas = [i / (grid_size - 1) for i in range(grid_size)]

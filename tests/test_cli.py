@@ -287,6 +287,13 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_huge_grid_size_rejected(self, model_a_csv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--input", model_a_csv, "--grid-size", str(2**40), "--out", str(out))
+        assert code == 2
+        assert "grid_size must be an integer <= 1000001, got 1099511627776" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def _config(self, tmp_path, seed=True):

@@ -1,6 +1,7 @@
 """Golden values and behaviour of the cost-based score evaluators."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from demandeval import (
     spec_literal,
 )
 from demandeval.errors import InvalidConfig
+from demandeval.spec import MAX_GRID_SIZE
 from conftest import ACTUAL, random_pair
 
 
@@ -188,6 +190,19 @@ class TestAlphaSweep:
     def test_grid_size_validation(self, model_a_pair):
         with pytest.raises(InvalidConfig, match="grid_size must be an integer >= 2, got 1"):
             spec_alpha_sweep(model_a_pair, 1)
+
+    @pytest.mark.parametrize("grid_size", [2**40, 2**70, MAX_GRID_SIZE + 1])
+    def test_grid_size_bound(self, model_a_pair, grid_size):
+        assert MAX_GRID_SIZE == 1_000_001
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidConfig,
+                               match=f"^grid_size must be an integer <= 1000001, got {grid_size}$"):
+                spec_alpha_sweep(model_a_pair, grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000  # rejected before a point or a charge is allocated
 
     def test_matches_direct_evaluation(self, model_b_pair):
         for p in spec_alpha_sweep(model_b_pair, 5):

@@ -9,11 +9,11 @@ streamed forms must give the same score, per-step split, sweep and cost bit
 for bit, NaN equal to NaN, on every kind of pair, including pairs whose
 charges pass the float range and take the rescaled pass.
 
-The kernel has two paths, chosen by series length: up to ``spec._CHUNK``
-steps ``spec._walk_charges`` walks every step, and a longer series goes to
-``spec._chunk_charges``, which nets only at volume steps and fills the charges
-chunk by chunk with numpy. The twin test covers both: ``_pairs`` are all
-walked, ``_long_pairs`` all chunked.
+The kernel nets only at volume steps, and fills the charges in between in
+one of two ways, chosen by series length: in Python up to ``spec._CHUNK``
+steps, and chunk by chunk with numpy beyond. The twin test covers both:
+``_pairs`` and the ``_long_pairs`` of up to ``spec._CHUNK`` steps take the
+Python fill, the other ``_long_pairs`` the numpy fill.
 """
 
 import math
@@ -183,13 +183,18 @@ def _same(a, b) -> bool:
 
 
 def _long_pairs():
-    """Pairs longer than the kernel's chunk, which it walks chunk by chunk:
-    each kind of :func:`_random_pair` at lengths from one chunk and a step to
-    about 5,000, and single batches that stay open across chunk boundaries."""
+    """Pairs at and past the kernel's fill bound of one chunk: each kind of
+    :func:`_random_pair` at lengths from one chunk less a step to about
+    5,000, single batches that stay open across chunk boundaries, and one that
+    stays open over the whole of the longest series the Python fill takes."""
     chunk = spec._CHUNK
     rng = np.random.default_rng(1415)
     pairs = [_random_pair(rng, n, kind) for n in (chunk + 1, 2 * chunk, 2 * chunk + 1, 3_001, 4_999)
              for kind in range(4)]
+    pairs += [_random_pair(rng, n, kind) for n in (chunk - 1, chunk) for kind in range(4)]
+    sides = np.zeros((2, chunk))
+    sides[0, 0] = 7.5  # owed from step 1 to the last step, the run the fill charges last
+    pairs.append(EvaluationPair.from_values(*sides))
     for early, late in ((chunk - 1, 2 * chunk + 9), (chunk - 1, chunk), (0, 3 * chunk - 1)):
         for late_side in (0, 1):
             sides = np.zeros((2, 3 * chunk))
@@ -216,10 +221,11 @@ def test_kernel_matches_its_list_twin(pairs, long_pairs, monkeypatch):
     for pair, got_results, want_results in zip(pairs + long_pairs, got, want):
         for g, w in zip(got_results, want_results):
             assert _same(g, w), (pair, g, w)
-    # the rescaled pass was taken on both sides of the kernel's length selection
-    for pair_set in (pairs, long_pairs):
+    # the rescaled pass was taken on both sides of the kernel's fill selection
+    for fill_in_python in (True, False):
         assert any(not math.isfinite(_list_fifo_charges(pair.actual.values, pair.forecast.values,
-                                                        1.0, 1.0)[2]) for pair in pair_set)
+                                                        1.0, 1.0)[2])
+                   for pair in pairs + long_pairs if (pair.n <= spec._CHUNK) == fill_in_python)
 
 
 def test_stock_cost_matches_its_list_twin(pairs):
