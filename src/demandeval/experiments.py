@@ -49,12 +49,18 @@ PERCENTAGE_METRICS = frozenset({"mape", "mdape", "rmspe", "smape"})
 
 _DIRECTIONS = ("vertical", "horizontal", "both")
 
+#: Most series, forecasts per series or segments per series a study may ask for.
+MAX_COUNT = 1_000_000
+
 
 # numpy's SeedSequence constants (hashmix and mix).
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -73,6 +79,15 @@ def _hashmix(value, const: int, mult: int = _MULT_A):
 def _mix(x, y):
     result = (_MIX_L * x - _MIX_R * y) & _MASK32
     return result ^ (result >> 16)
+
+
+def _state_words(pool: list, count: int) -> list:
+    """The first ``count`` uint32 words of SeedSequence's ``generate_state``, cycling the pool."""
+    words, const = [], _INIT_B
+    for dst in range(count):
+        word, const = _hashmix(pool[dst % len(pool)], const, _MULT_B)
+        words.append(word)
+    return words
 
 
 def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
@@ -103,10 +118,47 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     for dst in range(len(pool)):
         mixed, const = _hashmix(word, const)
         pool[dst] = _mix(pool[dst], mixed)
-    # generate_state(1, uint64): two output words from the first two pool words
-    low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
-    high, _ = _hashmix(pool[1], const, _MULT_B)
+    low, high = _state_words(pool, 2)  # generate_state(1, uint64)
     return (low | high << 32).tolist()
+
+
+def _reset_streams(seeds: list[int]):
+    """Yield one ``Generator`` per seed in turn, in the state ``default_rng(seed)`` starts in.
+
+    It is one generator, reset each time, so the caller draws from it before
+    asking for the next seed's. ``SeedSequence(seed).generate_state(4, uint64)``
+    is taken for every seed in one numpy pass. PCG64 reads those four words
+    as a 128-bit start value and stream, and its seeding
+    (``pcg_setseq_128_srandom_r``) is ``inc = 2 * stream + 1``, then
+    ``state = (inc + start) * multiplier + inc``, here on Python ints. That
+    spares a ``SeedSequence`` and a ``PCG64`` object per seed.
+    """
+    words = np.array(seeds, dtype=np.uint64)
+    # A seed below 2**64 is one or two uint32 entropy words; a missing word
+    # mixes as 0, and the pool holds four.
+    pool, const = [], _INIT_A
+    for word in (words & _MASK32, words >> 32, 0, 0):
+        mixed, const = _hashmix(word, const)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], mixed)
+    out = _state_words(pool, 8)  # generate_state(4, uint64), low word first
+    uint64s = ((out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for start_high, start_low, stream_high, stream_low in zip(*uint64s):
+        inc = (stream_high << 65 | stream_low << 1 | 1) & _MASK128
+        state = ((inc + (start_high << 64 | start_low)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
@@ -176,8 +228,8 @@ class ReliabilityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("field 'series_count':", self.series_count, 2)
-        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
+        check_int("field 'series_count':", self.series_count, 2, MAX_COUNT)
+        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2, MAX_COUNT)
         levels = _levels("variance_levels", self.variance_levels, 2)
         if any(v < 0 for v in levels):
             raise InvalidConfig("field 'variance_levels': sigma values must be >= 0")
@@ -213,8 +265,8 @@ class ValidityConfig:
             )
         object.__setattr__(self, "mu_levels", _levels("mu_levels", self.mu_levels, 3))
         check_number("field 'sigma':", self.sigma, 0)
-        check_int("field 'series_count':", self.series_count, 2)
-        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2)
+        check_int("field 'series_count':", self.series_count, 2, MAX_COUNT)
+        check_int("field 'forecasts_per_series':", self.forecasts_per_series, 2, MAX_COUNT)
         object.__setattr__(self, "metrics", _metric_names(self.metrics))
         check_seed("field 'seed':", self.seed)
 
@@ -238,7 +290,7 @@ class SegmentReliabilityConfig:
             raise InvalidConfig("field 'magnitude_mus': need at least 2 series")
         object.__setattr__(self, "magnitude_mus", mus)
         check_int("field 'window':", self.window, 2)
-        check_int("field 'segments_per_series':", self.segments_per_series, 2)
+        check_int("field 'segments_per_series':", self.segments_per_series, 2, MAX_COUNT)
         if self.window > self.demand.n:
             raise InvalidConfig(
                 f"field 'window': {self.window} exceeds the demand horizon {self.demand.n}"
@@ -283,7 +335,8 @@ class ExperimentReport:
         return dump_json(self.to_dict())
 
 
-def _error_config(direction: str, mu: float, sigma: float, seed: int) -> ErrorInjectionConfig:
+def _error_config(direction: str, mu: float, sigma: float) -> ErrorInjectionConfig:
+    """A block's error; its seed is unused, as each forecast draws from its own stream."""
     vertical = direction in ("vertical", "both")
     horizontal = direction in ("horizontal", "both")
     return ErrorInjectionConfig(
@@ -291,7 +344,6 @@ def _error_config(direction: str, mu: float, sigma: float, seed: int) -> ErrorIn
         vertical_sigma=sigma if vertical else 0.0,
         horizontal_mu=mu if horizontal else 0.0,
         horizontal_sigma=sigma if horizontal else 0.0,
-        seed=seed,
     )
 
 
@@ -308,7 +360,8 @@ def _pair_stream(
     ``cells`` yields ``(demand key, [(level index, mu, sigma, forecast key)])``:
     the demand series is drawn from the seed at the demand key, and forecast
     ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
-    forecast seeds come from one :func:`derive_seed` call. Each block is
+    forecast seeds come from one :func:`derive_seed` call, and their streams
+    from one :func:`_reset_streams` pass. Each block is
     yielded as ``(level index, {metric: values in forecast order}, costs)``
     for the metrics keyed in ``bad``, where ``costs`` holds the warehouse cost
     of each forecast when ``cost_params`` is given and is empty otherwise.
@@ -319,13 +372,12 @@ def _pair_stream(
         for l_idx, mu, sigma, forecast_key in blocks:
             values: dict[str, list[float]] = {m: [] for m in bad}
             costs: list[float] = []
+            error = _error_config(direction, mu, sigma)
             seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
             # Values past the float range count as non-finite, without numpy warnings.
             with np.errstate(over="ignore", invalid="ignore"):
-                for seed in seeds:
-                    pair = EvaluationPair(
-                        actual, perturb_forecast(actual, _error_config(direction, mu, sigma, seed))
-                    )
+                for rng in _reset_streams(seeds):
+                    pair = EvaluationPair(actual, perturb_forecast(actual, error, rng))
                     if cost_params is not None:
                         costs.append(stock_cost(pair, cost_params))
                     for m, scores in values.items():
@@ -439,7 +491,7 @@ def run_segment_reliability(
     """
     if len(series_set) < 2:
         raise InvalidConfig("need at least 2 series")
-    check_int("field 'segments_per_series':", segments_per_series, 2)
+    check_int("field 'segments_per_series':", segments_per_series, 2, MAX_COUNT)
     check_seed("field 'seed':", seed)
     groups: list[list[float]] = []
     for idx, series in enumerate(series_set):

@@ -22,6 +22,10 @@ from .series import DemandSeries, ForecastSeries
 #: number of nonzero steps stays exactly as sampled.
 MAGNITUDE_FLOOR = 1.0
 
+#: Most steps a generated series may have: far above any study horizon, and
+#: far below the sizes numpy refuses to allocate.
+MAX_STEPS = 100_000_000
+
 #: Steps of the actual whose spikes :func:`perturb_forecast` perturbs at once.
 _SPIKE_BLOCK = 65_536
 
@@ -47,7 +51,7 @@ class DemandGenConfig:
     round_magnitudes: bool = False
 
     def __post_init__(self) -> None:
-        check_int("n", self.n, 1)
+        check_int("n", self.n, 1, MAX_STEPS)
         check_number("count_mu", self.count_mu)
         check_number("count_sigma", self.count_sigma, 0)
         check_number("magnitude_mu", self.magnitude_mu)
@@ -103,8 +107,16 @@ def generate_demand(config: DemandGenConfig) -> DemandSeries:
     return DemandSeries(values)
 
 
-def perturb_forecast(actual: DemandSeries, config: ErrorInjectionConfig) -> ForecastSeries:
+def perturb_forecast(
+    actual: DemandSeries, config: ErrorInjectionConfig, rng: np.random.Generator | None = None
+) -> ForecastSeries:
     """Build a forecast by displacing and rescaling each spike of ``actual``.
+
+    The normals are drawn from ``rng``, which is advanced, when it is given;
+    ``config.seed`` is then unused. Without it they are drawn from
+    ``default_rng(config.seed)``. The experiment runners pass one generator,
+    reset to ``default_rng(seed)``'s state for each forecast, so either way
+    a seed gives the same forecast.
 
     Spikes are processed in time order; per spike the horizontal offset is
     drawn before the vertical one. Offsets are rounded to the nearest step
@@ -117,16 +129,21 @@ def perturb_forecast(actual: DemandSeries, config: ErrorInjectionConfig) -> Fore
     Python floats, which at the studies' handful of spikes per series costs
     less than a chain of numpy calls and never warns on overflow. A long
     series is drawn ``_SPIKE_BLOCK`` steps at a time from the same
-    generator, so its temporaries stay small.
+    generator, so its temporaries stay small. Colliding spikes are added
+    through a memoryview of the output, one Python float add each.
     """
     y = actual.values
     n = y.size
-    rng = np.random.default_rng(config.seed)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     out = np.zeros(n)
+    out_at = memoryview(out)
     h_mu, h_sigma = config.horizontal_mu, config.horizontal_sigma
     v_mu, v_sigma = config.vertical_mu, config.vertical_sigma
     for start in range(0, n, _SPIKE_BLOCK):
-        positions = np.flatnonzero(y[start : start + _SPIKE_BLOCK]) + start
+        positions = y[start : start + _SPIKE_BLOCK].nonzero()[0]
+        if start:
+            positions += start
         draws = rng.standard_normal(2 * positions.size).tolist()
         spikes = zip(positions.tolist(), y[positions].tolist(), draws[0::2], draws[1::2])
         for pos, value, h_draw, v_draw in spikes:
@@ -136,7 +153,7 @@ def perturb_forecast(actual: DemandSeries, config: ErrorInjectionConfig) -> Fore
             magnitude = value + (v_mu + v_sigma * v_draw)
             if magnitude > 0:
                 target = min(max(pos + round(shift), 0), n - 1)
-                out[target] = out.item(target) + magnitude
+                out_at[target] += magnitude
     return ForecastSeries(out)
 
 

@@ -364,6 +364,7 @@ class TestSimulate:
             ({"error": {"bogus": 1}}, "field 'error': unknown config fields: ['bogus']"),
             ({"bogus": 1}, "unknown config fields: ['bogus']"),
             ({"n": None}, "field 'n': missing"),
+            ({"n": 2**70}, "n must be an integer <= 100000000, got 1180591620717411303424"),
         ],
     )
     def test_bad_config_exit_2(self, tmp_path, capsys, change, named):
@@ -561,6 +562,38 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(" overflows the float range\n")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("kind,field", [
+        *((kind, "series_count") for kind in ("reliability", "validity", "cost-validity")),
+        *((kind, "forecasts_per_series") for kind in ("reliability", "validity", "cost-validity")),
+        ("reliability", "n"),
+        ("segment-reliability", "n"),
+        ("segment-reliability", "segments_per_series"),
+    ])
+    def test_huge_count_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch, kind, field):
+        # numpy refused to allocate the first three fields at 2**70; a series_count that
+        # large ran without end, so any series drawn at all fails the test
+        def no_run(config):
+            pytest.fail("the study started")
+
+        monkeypatch.setattr("demandeval.experiments.generate_demand", no_run)
+        demand = {"n": 32, "count_mu": 4.0, "count_sigma": 1.0,
+                  "magnitude_mu": 10.0, "magnitude_sigma": 2.0}
+        study = {"segment-reliability": {"magnitude_mus": [4.0, 8.0], "window": 8},
+                 "validity": {"direction": "vertical", "mu_levels": [0.0, 1.0, 2.0], "sigma": 1.0}}
+        payload = {"demand": demand, "seed": 3,
+                   **study.get(kind, {"variance_levels": [0.5, 1.5]})}
+        if field == "n":
+            demand["n"] = 2**70
+            named = "field 'demand': n must be an integer <= 100000000"
+        else:
+            payload[field] = 2**70
+            named = f"field '{field}': must be an integer <= 1000000"
+        out = tmp_path / "r.json"
+        code = run_cli("experiment", kind, "--config", str(self._write(tmp_path, payload)),
+                       "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {named}, got {2**70}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_scoring_overflow_prints_only_the_error(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ Full desk-scale threshold checks live in test_acceptance.py; these tests use
 reduced counts so the whole module stays fast.
 """
 
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from demandeval import (
     run_segment_reliability_config,
     run_validity,
 )
-from demandeval import experiments, metrics
+from demandeval import experiments, metrics, simulate
 from demandeval.errors import InvalidConfig
 from demandeval.experiments import ExperimentReport, MetricOutcome, derive_seed
 
@@ -98,6 +99,19 @@ class TestSeedDerivation:
                     assert got == want, (root, prefix, dtype)
                     assert all(type(seed) is int for seed in got)
         assert derive_seed(3, 1, np.arange(0)) == []
+
+    def test_reset_streams_match_default_rng(self):
+        rng = np.random.default_rng(13)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
+        seeds += rng.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
+        for seed, stream in zip(seeds, experiments._reset_streams(seeds), strict=True):
+            want = np.random.default_rng(seed)
+            assert stream.bit_generator.state == want.bit_generator.state, seed
+            assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist(), seed
+            # an odd count of 32-bit draws leaves half a word buffered for the next reset to clear
+            assert stream.integers(2**32, size=3, dtype=np.uint32).tolist() == (
+                want.integers(2**32, size=3, dtype=np.uint32).tolist()
+            ), seed
 
     @pytest.mark.parametrize("values", [
         np.array([0, 2**32]),
@@ -249,6 +263,28 @@ class TestReliability:
         assert outcome.r is not None and outcome.r > 0.8
         variances = outcome.per_level_variance
         assert variances[0] < variances[-1]
+
+    def test_one_generator_per_series_and_one_error_per_block(self, configs_dir, monkeypatch):
+        # the shipped config on the traced-layer test's 3-series x 4-forecast grid
+        data = json.loads((configs_dir / "reliability.json").read_text(encoding="utf-8"))
+        config = replace(ReliabilityConfig.from_dict(data), series_count=3, forecasts_per_series=4)
+        calls = {"default_rng": 0, "ErrorInjectionConfig": 0}
+        default_rng = simulate.np.random.default_rng
+        post_init = simulate.ErrorInjectionConfig.__post_init__
+
+        def counted_rng(*args, **kwargs):
+            calls["default_rng"] += 1
+            return default_rng(*args, **kwargs)
+
+        def counted_post_init(self):
+            calls["ErrorInjectionConfig"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", counted_rng)
+        monkeypatch.setattr(simulate.ErrorInjectionConfig, "__post_init__", counted_post_init)
+        run_reliability(config)
+        # generate_demand's generator per series; a per-forecast one would make 4 per block
+        assert calls == {"default_rng": 3, "ErrorInjectionConfig": 3 * len(config.variance_levels)}
 
     def test_report_structure(self):
         report = run_reliability(small_reliability())

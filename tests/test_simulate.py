@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,15 +179,20 @@ class TestPerturbForecast:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = self._per_spike_twin(actual, config)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                if not np.isfinite(want).all():
-                    with pytest.raises(SeriesError, match="series contains NaN or infinite entries"):
-                        perturb_forecast(actual, config)
-                    continue
-                got = perturb_forecast(actual, config).values
-            assert got.tobytes() == want.tobytes(), (values, config)
-            checked += 1
+            finite = bool(np.isfinite(want).all())
+            # a generator passed in is drawn from, and the config's seed goes unused
+            inputs = ((config, None),
+                      (replace(config, seed=config.seed ^ 1), np.random.default_rng(config.seed)))
+            for given, stream in inputs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if not finite:
+                        with pytest.raises(SeriesError, match="series contains NaN or infinite entries"):
+                            perturb_forecast(actual, given, stream)
+                        continue
+                    got = perturb_forecast(actual, given, stream).values
+                assert got.tobytes() == want.tobytes(), (values, config, stream)
+            checked += finite
         assert checked >= 3000
 
     def test_volume_preserved_away_from_boundaries(self):
