@@ -26,6 +26,7 @@ from .errors import DegenerateInput, InvalidConfig, StatsError, check_int, check
 from .metrics import _entries, _metric_names, compute_metric
 from .series import DemandSeries, EvaluationPair
 from .simulate import (
+    MAX_COUNT,
     DemandGenConfig,
     ErrorInjectionConfig,
     generate_demand,
@@ -49,18 +50,12 @@ PERCENTAGE_METRICS = frozenset({"mape", "mdape", "rmspe", "smape"})
 
 _DIRECTIONS = ("vertical", "horizontal", "both")
 
-#: Most series, forecasts per series or segments per series a study may ask for.
-MAX_COUNT = 1_000_000
-
 
 # numpy's SeedSequence constants (hashmix and mix).
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -122,16 +117,23 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     return (low | high << 32).tolist()
 
 
-def _reset_streams(seeds: list[int]):
-    """Yield one ``Generator`` per seed in turn, in the state ``default_rng(seed)`` starts in.
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Precomputed seed words for ``PCG64``, returned as they are whatever is asked for."""
 
-    It is one generator, reset each time, so the caller draws from it before
-    asking for the next seed's. ``SeedSequence(seed).generate_state(4, uint64)``
-    is taken for every seed in one numpy pass. PCG64 reads those four words
-    as a 128-bit start value and stream, and its seeding
-    (``pcg_setseq_128_srandom_r``) is ``inc = 2 * stream + 1``, then
-    ``state = (inc + start) * multiplier + inc``, here on Python ints. That
-    spares a ``SeedSequence`` and a ``PCG64`` object per seed.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _reset_streams(seeds: list[int]):
+    """Yield a new ``Generator`` per seed, in the state ``default_rng(seed)`` starts in.
+
+    ``SeedSequence(seed).generate_state(4, uint64)`` is taken for every seed
+    in one numpy pass, and numpy's ``PCG64`` seeds itself from each seed's
+    four words, which spares a ``SeedSequence`` per seed. ``PCG64`` reads
+    the words' buffer as it is, so each seed's words are one contiguous row.
     """
     words = np.array(seeds, dtype=np.uint64)
     # A seed below 2**64 is one or two uint32 entropy words; a missing word
@@ -146,19 +148,9 @@ def _reset_streams(seeds: list[int]):
                 mixed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], mixed)
     out = _state_words(pool, 8)  # generate_state(4, uint64), low word first
-    uint64s = ((out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4))
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for start_high, start_low, stream_high, stream_low in zip(*uint64s):
-        inc = (stream_high << 65 | stream_low << 1 | 1) & _MASK128
-        state = ((inc + (start_high << 64 | start_low)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    states = np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
+    for state in states:
+        yield np.random.Generator(np.random.PCG64(_Words(state)))
 
 
 def _numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:

@@ -26,6 +26,10 @@ MAGNITUDE_FLOOR = 1.0
 #: far below the sizes numpy refuses to allocate.
 MAX_STEPS = 100_000_000
 
+#: Most extracts :func:`segment_extracts` may draw, and most series, forecasts
+#: per series or segments per series a study may ask for.
+MAX_COUNT = 1_000_000
+
 #: Steps of the actual whose spikes :func:`perturb_forecast` perturbs at once.
 _SPIKE_BLOCK = 65_536
 
@@ -114,9 +118,9 @@ def perturb_forecast(
 
     The normals are drawn from ``rng``, which is advanced, when it is given;
     ``config.seed`` is then unused. Without it they are drawn from
-    ``default_rng(config.seed)``. The experiment runners pass one generator,
-    reset to ``default_rng(seed)``'s state for each forecast, so either way
-    a seed gives the same forecast.
+    ``default_rng(config.seed)``. The experiment runners pass each forecast
+    a generator in ``default_rng(seed)``'s starting state, so either way a
+    seed gives the same forecast.
 
     Spikes are processed in time order; per spike the horizontal offset is
     drawn before the vertical one. Offsets are rounded to the nearest step
@@ -173,7 +177,7 @@ def segment_extracts(
     identical extracts.
     """
     check_int("window", window, 1)
-    check_int("count", count, 1)
+    check_int("count", count, 1, MAX_COUNT)
     check_seed("seed", seed)
     n = series.n
     if window > n:

@@ -1,15 +1,19 @@
 """End-to-end command line behaviour (in-process, via main())."""
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import shutil
+import signal
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT
 from demandeval.cli import main
@@ -615,6 +619,67 @@ class TestExperimentCommand:
         code = run_cli("experiment", "reliability", "--config", str(cfg),
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
+
+
+#: One small valid config per command that reads one: studies of 2 series x 2
+#: forecasts (2 segments), with every field of the config written out.
+_DEMAND = {"n": 32, "count_mu": 4.0, "count_sigma": 1.0, "magnitude_mu": 10.0,
+           "magnitude_sigma": 2.0, "round_magnitudes": False}
+_RELIABILITY = {"demand": _DEMAND, "variance_levels": [0.5, 1.5], "series_count": 2,
+                "forecasts_per_series": 2, "metrics": ["mae", "spec"],
+                "error_directions": "both", "error_mu": 0.0, "seed": 3}
+_SHAPE_BASES = {
+    "reliability": _RELIABILITY,
+    "validity": {"demand": _DEMAND, "direction": "vertical", "mu_levels": [0.0, 1.0, 2.0],
+                 "sigma": 1.0, "series_count": 2, "forecasts_per_series": 2,
+                 "metrics": ["mae", "spec"], "seed": 3},
+    "cost-validity": {**_RELIABILITY, "cost_alpha1": 0.75, "cost_alpha2": 0.25,
+                      "metric_alpha1": 0.6, "metric_alpha2": 0.4},
+    "segment-reliability": {"demand": _DEMAND, "magnitude_mus": [4.0, 8.0], "window": 8,
+                            "segments_per_series": 2, "seed": 3},
+    "simulate": {**_DEMAND, "seed": 11, "error": {"vertical_mu": 0.0, "vertical_sigma": 1.0,
+                 "horizontal_mu": 0.0, "horizontal_sigma": 1.0, "seed": 9}},
+}
+#: (command, path) of every top-level field and every field of a nested object.
+_SHAPE_FIELDS = [(kind, (name,)) for kind, base in _SHAPE_BASES.items() for name in base]
+_SHAPE_FIELDS += [
+    (kind, (name, inner))
+    for kind, base in _SHAPE_BASES.items()
+    for name, value in base.items() if isinstance(value, dict)
+    for inner in value
+]
+_WRONG_VALUES = [None, "x", "1", [], [1], {}, -1, 0, 0.5, True, 2**70, -(2**70), 1e308, -1e308]
+
+
+def _overran(signum, frame):
+    pytest.fail("the command ran for more than 5 s")
+
+
+# 400 of the 980 inputs keep the test near a second. Hypothesis's deadline is
+# off, since host drift would flake it; an alarm fails a run that does not end.
+@given(target=st.sampled_from(_SHAPE_FIELDS), value=st.sampled_from(_WRONG_VALUES))
+@settings(max_examples=400, deadline=None)
+def test_every_config_shape_runs_or_exits_2(tmp_path_factory, target, value):
+    kind, path = target
+    cfg = json.loads(json.dumps(_SHAPE_BASES[kind]))
+    (cfg[path[0]] if len(path) > 1 else cfg)[path[-1]] = value
+    work = tmp_path_factory.getbasetemp()
+    cfg_path = work / "shape.json"
+    cfg_path.write_text(json.dumps(cfg))
+    if kind == "simulate":
+        argv = ["simulate", "--config", str(cfg_path), "--out-dir", str(work / "shape")]
+    else:
+        argv = ["experiment", kind, "--config", str(cfg_path), "--out", str(work / "report.json")]
+    err = io.StringIO()
+    handler = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code in (0, 2) and "internal error" not in err.getvalue(), err.getvalue()
 
 
 #: SHA-256 of every file the CLI writes for the shipped fixtures and the

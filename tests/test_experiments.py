@@ -113,6 +113,14 @@ class TestSeedDerivation:
                 want.integers(2**32, size=3, dtype=np.uint32).tolist()
             ), seed
 
+    def test_reset_streams_are_independent_generators(self):
+        seeds = [0, 1, 2**32, 2**64 - 1, 987654321]
+        streams = list(experiments._reset_streams(seeds))
+        for seed, stream in reversed(list(zip(seeds, streams, strict=True))):
+            want = np.random.default_rng(seed)
+            assert stream.bit_generator.state == want.bit_generator.state, seed
+            assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist(), seed
+
     @pytest.mark.parametrize("values", [
         np.array([0, 2**32]),
         np.array([-1, 0]),

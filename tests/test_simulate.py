@@ -268,3 +268,8 @@ class TestSegmentExtracts:
     def test_window_and_count_must_be_integers(self, window, count):
         with pytest.raises(InvalidConfig):
             segment_extracts(DemandSeries([1, 2, 3]), window, count, 0)
+
+    def test_huge_count_rejected_before_drawing(self):
+        for count in (simulate.MAX_COUNT + 1, 2**70):
+            with pytest.raises(InvalidConfig, match="count"):
+                segment_extracts(DemandSeries([1, 2, 3]), 2, count, 0)
