@@ -13,6 +13,7 @@ reproduce its outputs exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 from dataclasses import asdict
@@ -84,14 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {','.join(METRIC_NAMES)} (default: all)",
     )
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("decompose", help="per-time-step cost attribution")
     p.add_argument("--input", required=True)
     _alpha_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", default=None, help="optional stacked-bar SVG path")
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("sweep", help="score along alpha1 = 0..1, alpha2 = 1-alpha1")
     p.add_argument("--input", action="append", required=True, help="pair CSV (repeatable)")
@@ -99,18 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"points on the alpha1 grid, 2 to {MAX_GRID_SIZE:,} (default 101)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", default=None, help="optional line-chart SVG path")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="generate a synthetic demand/forecast pair")
     p.add_argument("--config", required=True, help="JSON generation config")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a reliability/validity study")
     p.add_argument("kind", choices=tuple(_EXPERIMENT_RUNNERS))
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=_cmd_experiment)
 
     return parser
 
@@ -232,11 +228,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built once per process: building it takes
+    longer than parsing, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up by command name on every call, not bound into the parser
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (DemandEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 from .csvio import dump_json, json_number
 from .errors import DegenerateInput, InvalidConfig, StatsError, check_int, check_number, check_seed
 from .metrics import _entries, _metric_names, compute_metric
-from .series import DemandSeries, EvaluationPair
+from .series import DemandSeries, EvaluationPair, ForecastSeries
 from .simulate import (
     MAX_COUNT,
     DemandGenConfig,
@@ -353,7 +353,10 @@ def _pair_stream(
     the demand series is drawn from the seed at the demand key, and forecast
     ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
     forecast seeds come from one :func:`derive_seed` call, and their streams
-    from one :func:`_reset_streams` pass. Each block is
+    from one :func:`_reset_streams` pass. A block's forecasts are stacked into
+    one (k, n) :class:`EvaluationPair`, which each metric scores in one
+    :func:`compute_metric` call; a pair per forecast is built only for the
+    warehouse oracle, which walks one forecast at a time. Each block is
     yielded as ``(level index, {metric: values in forecast order}, costs)``
     for the metrics keyed in ``bad``, where ``costs`` holds the warehouse cost
     of each forecast when ``cost_params`` is given and is empty otherwise.
@@ -362,21 +365,19 @@ def _pair_stream(
     for demand_key, blocks in cells:
         actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
         for l_idx, mu, sigma, forecast_key in blocks:
-            values: dict[str, list[float]] = {m: [] for m in bad}
-            costs: list[float] = []
             error = _error_config(direction, mu, sigma)
             seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
             # Values past the float range count as non-finite, without numpy warnings.
             with np.errstate(over="ignore", invalid="ignore"):
-                for rng in _reset_streams(seeds):
-                    pair = EvaluationPair(actual, perturb_forecast(actual, error, rng))
-                    if cost_params is not None:
-                        costs.append(stock_cost(pair, cost_params))
-                    for m, scores in values.items():
-                        value = compute_metric(m, pair, params).value
-                        scores.append(value)
-                        if not math.isfinite(value):
-                            bad[m] += 1
+                forecasts = [perturb_forecast(actual, error, rng) for rng in _reset_streams(seeds)]
+                costs = ([] if cost_params is None else
+                         [stock_cost(EvaluationPair(actual, f), cost_params) for f in forecasts])
+                block = EvaluationPair(actual, ForecastSeries(np.stack([f.values for f in forecasts])))
+                values: dict[str, list[float]] = {}
+                for m in bad:
+                    scores = compute_metric(m, block, params).value
+                    values[m] = scores.tolist()
+                    bad[m] += int(np.count_nonzero(~np.isfinite(scores)))
             yield l_idx, values, costs
 
 

@@ -2,7 +2,9 @@
 
 Percentage-family metrics can legitimately be infinite or undefined on
 intermittent series, so every metric returns a float instead of raising: a
-finite value, ``math.inf``, or ``math.nan`` for undefined. The exact
+finite value, ``math.inf``, or ``math.nan`` for undefined. On a pair whose
+forecast is a (k, n) block, every metric returns a float64 array of k such
+values, each the 1-d call's value on its row bit for bit. The exact
 conventions (term skipping, scaling windows) are documented on each function
 because published definitions vary.
 """
@@ -17,58 +19,78 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, rescued, spec_fast
+from .spec import DEFAULT_PARAMS, SpecParams, by_row, rescued, spec_fast
 
 
 @dataclass(frozen=True)
 class ExtendedValue:
-    """A metric outcome: a finite real, ``math.inf``, or ``math.nan`` for undefined."""
+    """A metric outcome: a finite real, ``math.inf``, or ``math.nan`` for
+    undefined; for a (k, n) forecast block, an array of k of them."""
 
-    value: float
+    value: float | np.ndarray
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self.value)
+        """Whether the value, or every entry of an array value, is finite."""
+        return bool(np.isfinite(self.value).all())
 
 
-def _errors(pair: EvaluationPair) -> np.ndarray:
-    return pair.forecast.values - pair.actual.values
+def _mean(x: np.ndarray):
+    """``x.mean()`` without its Python wrapper: the same pairwise sum, then one
+    division. Of a (k, n) block, the mean of each row, with the bits of its 1-d call."""
+    if x.ndim == 1:
+        return float(np.add.reduce(x)) / x.size
+    return np.add.reduce(x, axis=1) / x.shape[1]
 
 
-def _mean(x: np.ndarray) -> float:
-    """``x.mean()`` without its Python wrapper: the same pairwise sum, then one division."""
-    return float(np.add.reduce(x)) / x.size
-
-
-def _mean_square(x: np.ndarray) -> float:
+def _mean_square(x: np.ndarray):
     return _mean(x * x)
 
 
-def _root_mean_square(x: np.ndarray) -> float:
-    return math.sqrt(_mean_square(x))
+def _root_mean_square(x: np.ndarray):
+    return np.sqrt(_mean_square(x))
 
 
-def mae(pair: EvaluationPair) -> float:
+def _median(x: np.ndarray):
+    return np.median(x, axis=-1)
+
+
+def _reduced(pair: EvaluationPair, terms, reduce, degrees: tuple[int, ...] = (1,)):
+    """:func:`rescued` ``reduce`` of ``terms(y, f)``; on a (k, n) forecast block,
+    ``reduce`` runs along every row at once (:func:`by_row`)."""
+    return by_row(pair, lambda y, f: rescued(reduce, *terms(y, f), degrees=degrees),
+                  lambda y, block: reduce(*terms(y, block)))
+
+
+def _errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
+    return (f - y,)
+
+
+def _absolute_errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
+    return (np.abs(f - y),)
+
+
+def mae(pair: EvaluationPair) -> float | np.ndarray:
     """Mean absolute error."""
-    return rescued(_mean, np.abs(_errors(pair)))
+    return _reduced(pair, _absolute_errors, _mean)
 
 
-def mdae(pair: EvaluationPair) -> float:
+def mdae(pair: EvaluationPair) -> float | np.ndarray:
     """Median absolute error."""
-    return rescued(np.median, np.abs(_errors(pair)))
+    return _reduced(pair, _absolute_errors, _median)
 
 
-def mse(pair: EvaluationPair) -> float:
+def mse(pair: EvaluationPair) -> float | np.ndarray:
     """Mean squared error."""
-    return rescued(_mean_square, _errors(pair), degrees=(2,))
+    return _reduced(pair, _errors, _mean_square, (2,))
 
 
-def rmse(pair: EvaluationPair) -> float:
+def rmse(pair: EvaluationPair) -> float | np.ndarray:
     """Root mean squared error."""
-    return rescued(_root_mean_square, _errors(pair))
+    return _reduced(pair, _errors, _root_mean_square)
 
 
-def _percentage(pair: EvaluationPair, reduce) -> float:
+def _percentage(y: np.ndarray, f: np.ndarray, reduce) -> float:
     """``reduce`` of the terms |e_t| / y_t, or the degenerate outcome.
 
     Steps with y_t = 0 and e_t = 0 are skipped; any step with y_t = 0 and
@@ -77,8 +99,7 @@ def _percentage(pair: EvaluationPair, reduce) -> float:
     float range, it is taken again on every term scaled below 1 by one power
     of two, which also covers a term that itself passed the range.
     """
-    y = pair.actual.values
-    e = np.abs(_errors(pair))
+    e = np.abs(f - y)
     zero_y = y == 0
     if (zero_y & (e != 0)).any():
         return math.inf
@@ -97,31 +118,22 @@ def _percentage(pair: EvaluationPair, reduce) -> float:
         return float(np.ldexp(reduce(np.ldexp(me / my, ee - ey - j)), j))
 
 
-def mape(pair: EvaluationPair) -> float:
+def mape(pair: EvaluationPair) -> float | np.ndarray:
     """Mean absolute percentage error (ratio, not multiplied by 100)."""
-    return _percentage(pair, _mean)
+    return by_row(pair, lambda y, f: _percentage(y, f, _mean))
 
 
-def mdape(pair: EvaluationPair) -> float:
+def mdape(pair: EvaluationPair) -> float | np.ndarray:
     """Median absolute percentage error, same term conventions as mape."""
-    return _percentage(pair, np.median)
+    return by_row(pair, lambda y, f: _percentage(y, f, _median))
 
 
-def rmspe(pair: EvaluationPair) -> float:
+def rmspe(pair: EvaluationPair) -> float | np.ndarray:
     """Root mean squared percentage error, same term conventions as mape."""
-    return _percentage(pair, _root_mean_square)
+    return by_row(pair, lambda y, f: _percentage(y, f, _root_mean_square))
 
 
-def smape(pair: EvaluationPair) -> float:
-    """Symmetric mean absolute percentage error on a [0, 1] scale.
-
-    Convention: mean of |e_t| / (|y_t| + |f_t|) over the steps where the
-    denominator is positive; undefined when no step has any volume. A step
-    whose denominator passes the float range is taken on its halved values,
-    which leaves its term exact, so it is neither a false 0 nor dropped.
-    """
-    y = pair.actual.values
-    f = pair.forecast.values
+def _smape(y: np.ndarray, f: np.ndarray) -> float:
     denom = y + f  # both are non-negative
     top = np.maximum.reduce(denom)
     if top == 0:
@@ -134,32 +146,64 @@ def smape(pair: EvaluationPair) -> float:
     return _mean(np.abs(f[keep] - y[keep]) / denom[keep])
 
 
-def _naive_scaled(reduce, e: np.ndarray, steps: np.ndarray, finish=float) -> float:
-    """``finish(reduce(e) / reduce(steps))``, NaN for a constant actual series; a
-    scale past the float range reads NaN, not a false 0, so both are rescued."""
+def _smape_rows(y: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """smape of each row, NaN where :func:`_smape` must take the row: no volume,
+    or a denominator past the float range. The terms are taken for the whole
+    block, but each row's mean is over its kept terms alone, as a ``where=``
+    mean would sum in another order."""
+    denom = y + block
+    keep = denom > 0
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the steps keep drops, and in a row without any
+        terms = np.abs(block - y) / denom
+        values = np.array([np.add.reduce(t[m]) for t, m in zip(terms, keep)]) / keep.sum(axis=1)
+    values[np.isinf(denom).any(axis=1)] = math.nan
+    return values
 
-    def ratio(e: np.ndarray, steps: np.ndarray) -> float:
-        scale = reduce(steps) if steps.size else 0.0
-        return finish(reduce(e) / scale) if 0.0 < scale < math.inf else math.nan
 
-    return rescued(ratio, e, steps, degrees=(1, -1))
+def smape(pair: EvaluationPair) -> float | np.ndarray:
+    """Symmetric mean absolute percentage error on a [0, 1] scale.
+
+    Convention: mean of |e_t| / (|y_t| + |f_t|) over the steps where the
+    denominator is positive; undefined when no step has any volume. A step
+    whose denominator passes the float range is taken on its halved values,
+    which leaves its term exact, so it is neither a false 0 nor dropped.
+    """
+    return by_row(pair, _smape, _smape_rows)
 
 
-def mase(pair: EvaluationPair) -> float:
+def _naive_scale(reduce, steps: np.ndarray) -> float:
+    """``reduce(steps)``, or NaN for a constant actual series; a scale past the
+    float range reads NaN too, not a false 0, so a ratio over it is rescued."""
+    scale = reduce(steps) if steps.size else 0.0
+    return scale if 0.0 < scale < math.inf else math.nan
+
+
+def _naive_steps(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The absolute errors, and the absolute steps of the one-step naive forecast."""
+    return np.abs(f - y), np.abs(y[1:] - y[:-1])
+
+
+def _mase(e: np.ndarray, steps: np.ndarray):
+    return _mean(e) / _naive_scale(_mean, steps)
+
+
+def _rmsse(e: np.ndarray, steps: np.ndarray):
+    return np.sqrt(_mean_square(e) / _naive_scale(_mean_square, steps))
+
+
+def mase(pair: EvaluationPair) -> float | np.ndarray:
     """Mean absolute scaled error.
 
     Scaled by the in-sample one-step naive forecast over the same window:
     mae / (sum_{t=2..n} |y_t - y_{t-1}| / (n-1)). Undefined (NaN) only when
     the actual series is constant.
     """
-    y = pair.actual.values
-    return _naive_scaled(_mean, np.abs(_errors(pair)), np.abs(y[1:] - y[:-1]))
+    return _reduced(pair, _naive_steps, _mase, (1, -1))
 
 
-def rmsse(pair: EvaluationPair) -> float:
+def rmsse(pair: EvaluationPair) -> float | np.ndarray:
     """Root mean squared scaled error: sqrt(mse / mean squared naive step), NaN where mase is."""
-    y = pair.actual.values
-    return _naive_scaled(_mean_square, _errors(pair), y[1:] - y[:-1], math.sqrt)
+    return _reduced(pair, _naive_steps, _rmsse, (1, -1))
 
 
 _METRIC_FUNCS = {
@@ -202,7 +246,8 @@ def _metric_names(metrics: Sequence[str]) -> tuple[str, ...]:
 
 
 def compute_metric(name: str, pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> ExtendedValue:
-    """Evaluate a single metric by report name.
+    """Evaluate a single metric by report name, on one pair or a (k, n) forecast
+    block (an array of one value per row).
 
     The only place a value is wrapped in an :class:`ExtendedValue`, because the
     benchmark tracer reads ``.is_finite`` from this function's result.

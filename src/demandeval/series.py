@@ -14,10 +14,11 @@ import numpy as np
 from .errors import SeriesError
 
 
-def _validated_array(raw) -> np.ndarray:
+def _validated_array(raw, ndims: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        raise SeriesError(f"expected a 1-d sequence of quantities, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        kind = " or ".join(f"{d}-d" for d in ndims)
+        raise SeriesError(f"expected a {kind} sequence of quantities, got shape {arr.shape}")
     if arr.size == 0:
         raise SeriesError("series must contain at least one time step")
     if not np.isfinite(arr).all():
@@ -39,12 +40,15 @@ class _Series:
 
     values: np.ndarray
 
+    _NDIMS = (1,)
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validated_array(self.values))
+        object.__setattr__(self, "values", _validated_array(self.values, self._NDIMS))
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        """The number of time steps: the length of the last axis."""
+        return int(self.values.shape[-1])
 
     def __len__(self) -> int:
         return self.n
@@ -63,13 +67,18 @@ class ForecastSeries(_Series):
     """Forecast quantities; negative forecasts are rejected, not clamped.
 
     A negative value would mean a negative delivery into the notional
-    warehouse, which has no interpretation in this cost model.
+    warehouse, which has no interpretation in this cost model. The values
+    are one forecast, or a (k, n) block of k forecasts of the same n steps,
+    one per row, which every metric scores row by row in one call.
     """
+
+    _NDIMS = (1, 2)
 
 
 @dataclass(frozen=True)
 class EvaluationPair:
-    """An aligned (actual, forecast) pair covering the same horizon."""
+    """An aligned (actual, forecast) pair covering the same horizon; the
+    forecast may be a (k, n) block, which makes the pair a block of k pairs."""
 
     actual: DemandSeries
     forecast: ForecastSeries

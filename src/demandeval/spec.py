@@ -16,7 +16,9 @@ step into two float arrays, so it holds no Python object per step. The
 length selects only how the charges between volume steps are filled: in
 Python up to ``_CHUNK`` steps, with numpy beyond. Both fills take each
 charge by the same float operations and sum the charges in step order, so
-they give the same bits. :func:`spec_fast` (the score),
+they give the same bits. A (k, n) block of forecasts is netted row by row
+and filled with numpy once for the whole block, again with the same bits.
+:func:`spec_fast` (the score, also of a block),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
 the normative reference: a direct O(n^2) transcription of the definition,
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, check_int, check_number
+from .errors import InvalidConfig, SeriesError, check_int, check_number
 from .series import EvaluationPair
 
 
@@ -106,8 +108,7 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
     Deliberately naive; do not optimize. :func:`spec_fast` is the fast path
     and is tested against this function.
     """
-    y = pair.actual.values.tolist()
-    f = pair.forecast.values.tolist()
+    y, f = (values.tolist() for values in one_forecast(pair))
     n = len(y)
     a1, a2 = params.alpha1, params.alpha2
 
@@ -146,39 +147,32 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
 _CHUNK = 1024  # steps per chunk, and the longest series whose charges are filled in Python
 
 
-def _fifo_charges(
-    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted owed and held charges at each step (0-based) and their total,
-    for demand ``y`` and deliveries ``f``.
-
-    Walks the series in chunks of ``_CHUNK`` steps and nets FIFO queues of
-    still-open demand and delivery batches against each other at the steps
-    with volume only: between two of them at least one queue is empty and
-    nothing changes. A queue's age-weighted charge at step t is
-    (t+1)*Q - QT, from its running aggregates Q = sum(q) and
-    QT = sum(q * origin), and only a side with Q > 0 is charged. The total is
-    summed in step order; :func:`spec_fast` returns it over n, so its bits
-    depend on that order.
+def _netting(y: np.ndarray, f: np.ndarray, chunk: int, python_fill: tuple | None = None):
+    """Net FIFO queues of still-open demand ``y`` and deliveries ``f`` against
+    each other at the steps with volume only, ``chunk`` steps at a time:
+    between two of them at least one queue is empty and nothing changes. A
+    queue's age-weighted charge at step t is (t+1)*Q - QT, from its running
+    aggregates Q = sum(q) and QT = sum(q * origin), and only a side with
+    Q > 0 is charged.
 
     Before netting at a volume step, and at a volume-free step that closes
     each chunk, the run of steps since the last one is charged from the
-    aggregates in force. Up to ``_CHUNK`` steps, where numpy's per-call cost
-    would outweigh its speed, Python charges the run step by step; beyond,
-    the run's charged (Q, QT) becomes a table row that numpy forward-fills
-    over the chunk. Both fills give the same bits: each charge is
-    ``alpha * ((t + 1) * Q - QT)``, the uncharged side's row is
-    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged, and
-    ``add.accumulate`` sums in sequence from the running total. A row is
-    owed, held or zeros by Q > 0, not by which queue is open, since an open
-    queue can hold a float residue Q <= 0 that is not charged. The charges
-    go into two float arrays, plus one chunk's temporaries; no Python float
-    is kept per step.
+    aggregates in force. Given ``python_fill = (alpha1, alpha2, opp_at,
+    stock_at)``, Python writes the run's charges step by step through the two
+    memoryviews and sums them in step order. Otherwise the run's charged
+    (Q, QT) becomes the next row of the chunk's table, for :func:`_filled`:
+    a row is owed, held or zeros by Q > 0, not by which queue is open, since
+    an open queue can hold a float residue Q <= 0 that is not charged.
+
+    Yields ``(lo, hi, vm, table, total)`` per chunk: its 0-based bounds, its
+    volume mask, its table as a flat list (row i holds owed_q, owed_qt,
+    held_q, held_qt charged after i volume steps; empty with
+    ``python_fill``), and the Python fill's running total (0.0 without it).
     """
     n = y.size
-    fill_in_python = n <= _CHUNK
-    opp, stock = np.zeros(n), np.zeros(n)
-    opp_at, stock_at = memoryview(opp), memoryview(stock)
+    fill_in_python = python_fill is not None
+    if fill_in_python:
+        alpha1, alpha2, opp_at, stock_at = python_fill
 
     owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
     held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
@@ -186,13 +180,13 @@ def _fifo_charges(
     held_q = held_qt = 0.0
 
     total = 0.0
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         yc, fc = y[lo:hi], f[lo:hi]
         vm = np.logical_or(yc, fc)  # the series are non-negative: volume where either is > 0
         at = vm.nonzero()[0]
         run_lo = lo + 1
-        table: list[float] = []  # row i: (owed_q, owed_qt, held_q, held_qt) charged after i volume steps
+        table: list[float] = []
         # the volume steps, then a step without volume that closes the chunk's last run;
         # unnamed, so the lists are freed before the numpy fill's temporaries exist
         for t, yt, ft in zip((at + (lo + 1)).tolist() + [hi + 1], yc[at].tolist() + [0.0],
@@ -243,24 +237,81 @@ def _fifo_charges(
                 owed_q = owed_qt = 0.0
             if not held:
                 held_q = held_qt = 0.0
-        if fill_in_python:
-            continue
-        owed_q_at, owed_qt_at, held_q_at, held_qt_at = (
-            np.array(table, dtype=float).reshape(-1, 4).take(vm.cumsum(), axis=0).T)
+        yield lo, hi, vm, table, total
+
+
+def _filled(table: list[float], index: np.ndarray, t1: np.ndarray, alpha1: float, alpha2: float,
+            opp: np.ndarray, stock: np.ndarray) -> np.ndarray:
+    """Charge each step from the row of :func:`_netting`'s ``table`` that ``index``
+    picks for it (``t1`` is t + 1 there), into ``opp`` and ``stock``, and return
+    their sum per step. Each charge is ``alpha * ((t + 1) * Q - QT)``, the
+    Python fill's operations in its order, and the uncharged side's row is
+    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged.
+    """
+    owed_q, owed_qt, held_q, held_qt = np.array(table, dtype=float).reshape(-1, 4).T.take(index, axis=1)
+    np.multiply(t1, owed_q, out=opp)
+    np.subtract(opp, owed_qt, out=opp)
+    np.multiply(alpha1, opp, out=opp)
+    np.multiply(t1, held_q, out=stock)
+    np.subtract(stock, held_qt, out=stock)
+    np.multiply(alpha2, stock, out=stock)
+    return opp + stock
+
+
+def _fifo_charges(
+    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weighted owed and held charges at each step (0-based) and their total,
+    for demand ``y`` and deliveries ``f``, as :func:`_netting` nets them.
+
+    The total is summed in step order; :func:`spec_fast` returns it over n,
+    so its bits depend on that order. Up to ``_CHUNK`` steps, where numpy's
+    per-call cost would outweigh its speed, Python fills the charges in one
+    chunk. Beyond, each chunk's table is forward-filled by the count of
+    volume steps so far and charged by :func:`_filled`, and the running total
+    is folded into the chunk's first charge and summed with
+    ``add.accumulate``, which sums in sequence. Both fills give the same
+    bits. The charges go into two float arrays, plus one chunk's
+    temporaries; no Python float is kept per step.
+    """
+    n = y.size
+    opp, stock = np.zeros(n), np.zeros(n)
+    if n <= _CHUNK:
+        [(*_, total)] = _netting(y, f, _CHUNK, (alpha1, alpha2, memoryview(opp), memoryview(stock)))
+        return opp, stock, total
+    total = 0.0
+    for lo, hi, vm, table, _ in _netting(y, f, _CHUNK):
         t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
-        opp_c, stock_c = opp[lo:hi], stock[lo:hi]
         # numpy warns where Python floats overflow to inf or give nan silently
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(t1, owed_q_at, out=opp_c)
-            np.subtract(opp_c, owed_qt_at, out=opp_c)
-            np.multiply(alpha1, opp_c, out=opp_c)
-            np.multiply(t1, held_q_at, out=stock_c)
-            np.subtract(stock_c, held_qt_at, out=stock_c)
-            np.multiply(alpha2, stock_c, out=stock_c)
-            charge = opp_c + stock_c
+            charge = _filled(table, vm.cumsum(), t1, alpha1, alpha2, opp[lo:hi], stock[lo:hi])
             charge[0] += total
             total = float(np.add.accumulate(charge, out=charge)[-1])
     return opp, stock, total
+
+
+def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float) -> np.ndarray:
+    """The total :func:`_fifo_charges` gives each row of a (k, n) ``block`` of
+    deliveries against demand ``y``, bit for bit.
+
+    :func:`_netting` nets each row as one chunk into a table; the rows'
+    tables are stacked, forward-filled over the whole block and charged by
+    :func:`_filled` at once, and ``add.accumulate`` sums each row in step
+    order, as the one-row fills do.
+    """
+    k, n = block.shape
+    table: list[float] = []
+    starts = []  # each row's first table row
+    for f in block:
+        starts.append(len(table) // 4)
+        [(_, _, _, row_table, _)] = _netting(y, f, n)
+        table += row_table
+    index = np.logical_or(y, block).cumsum(axis=1)
+    index += np.array(starts)[:, None]
+    t1 = np.arange(2, n + 2, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        charge = _filled(table, index, t1, alpha1, alpha2, np.empty((k, n)), np.empty((k, n)))
+        return np.add.accumulate(charge, axis=1)[:, -1]
 
 
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
@@ -279,29 +330,59 @@ def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
         return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
 
 
-def walk_mean(walk, pair: EvaluationPair, alpha1: float, alpha2: float) -> float:
+def walk_mean(walk, y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
     """The total ``walk(y, f, alpha1, alpha2)`` returns last, over n. Past the float range it is
     :func:`rescued` on the pair, then, if still past it, on the weights; never both in one pass."""
-    y, f = pair.actual.values, pair.forecast.values
-    mean = walk(y, f, alpha1, alpha2)[-1] / pair.n
+    n = y.size
+    mean = walk(y, f, alpha1, alpha2)[-1] / n
     if math.isfinite(mean):
         return mean
 
     def weighted(weights: np.ndarray) -> float:
         a1, a2 = weights.tolist()
-        return rescued(lambda yf: walk(*yf, a1, a2)[-1] / pair.n, np.stack((y, f)))
+        return rescued(lambda yf: walk(*yf, a1, a2)[-1] / n, np.stack((y, f)))
     return rescued(weighted, np.array([alpha1, alpha2], dtype=float))
 
 
-def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
-    """O(n) evaluator matching :func:`spec_literal` to 1e-9."""
-    return walk_mean(_fifo_charges, pair, params.alpha1, params.alpha2)
+def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
+    """The value arrays of a pair of one forecast; a (k, n) forecast block raises
+    :class:`SeriesError`, for the evaluators that take one forecast only."""
+    if pair.forecast.values.ndim != 1:
+        raise SeriesError(f"expected one forecast, got a block of shape {pair.forecast.values.shape}")
+    return pair.actual.values, pair.forecast.values
+
+
+def by_row(pair: EvaluationPair, score, rows=None):
+    """``score(y, f)`` on the pair's value arrays, or, where the forecast is a
+    (k, n) block, a float64 array with each row's ``score``, bit for bit.
+
+    ``rows(y, block)`` scores the whole block at once, and every row it leaves
+    non-finite is taken again by ``score``, which holds the overflow rescues;
+    without ``rows``, ``score`` runs row by row.
+    """
+    y, f = pair.actual.values, pair.forecast.values
+    if f.ndim == 1:
+        return score(y, f)
+    if rows is None:
+        return np.array([score(y, row) for row in f], dtype=float)
+    values = rows(y, f)
+    for i in np.flatnonzero(~np.isfinite(values)):
+        values[i] = score(y, f[i])
+    return values
+
+
+def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float | np.ndarray:
+    """O(n) evaluator matching :func:`spec_literal` to 1e-9; on a (k, n)
+    forecast block, one score per row (:func:`by_row`, :func:`_block_totals`)."""
+    a1, a2 = params.alpha1, params.alpha2
+    return by_row(pair, lambda y, f: walk_mean(_fifo_charges, y, f, a1, a2),
+                  lambda y, block: _block_totals(y, block, a1, a2) / y.size)
 
 
 def _unit_charges(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, int]:
     """Unit-weight charges at each step and k = 0, or, where their total passes
     the float range, the charges of the pair scaled by 2**-k below 1 and k."""
-    y, f = pair.actual.values, pair.forecast.values
+    y, f = one_forecast(pair)
     opp, stock, total = _fifo_charges(y, f, 1.0, 1.0)
     if math.isfinite(total):
         return opp, stock, 0

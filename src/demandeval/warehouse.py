@@ -24,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, walk_mean
+from .spec import DEFAULT_PARAMS, SpecParams, one_forecast, walk_mean
 
 
 def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
@@ -33,7 +33,7 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    return walk_mean(_warehouse_total, pair, params.alpha1, params.alpha2)
+    return walk_mean(_warehouse_total, *one_forecast(pair), params.alpha1, params.alpha2)
 
 
 def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> tuple[float]:

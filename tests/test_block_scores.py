@@ -1,0 +1,138 @@
+"""Every metric scores a (k, n) forecast block row by row, bit for bit.
+
+A block is an ``EvaluationPair`` whose forecast holds k forecasts of the
+same n steps, one per row. ``compute_metric``, the ten classic metrics and
+``spec_fast`` return one float64 per row, and each must be exactly the value
+the 1-d call gives on that row, NaN equal to NaN, including the rows whose
+block form overflows and is taken again by the 1-d body with its rescue.
+"""
+
+import numpy as np
+import pytest
+
+from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast
+from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric
+from demandeval.series import DemandSeries, ForecastSeries
+from test_streamed_walks import WEIGHTS, _long_pairs, _pairs, _same
+
+#: The kernel twin test's weightings, plus one whose charges overflow at any volume.
+SPEC_WEIGHTS = (*WEIGHTS, SpecParams(1e306, 3e305))
+
+
+def _block(actual, rows) -> EvaluationPair:
+    return EvaluationPair(DemandSeries(actual), ForecastSeries(np.array(rows, dtype=float)))
+
+
+def _blocks_from(pairs, actuals_per_length: int, rows_per_block: int) -> list[EvaluationPair]:
+    """For each length, the forecasts of the first pairs of that length as one
+    block, against the actual of each of the first few pairs of that length."""
+    by_length: dict[int, list[EvaluationPair]] = {}
+    for pair in pairs:
+        by_length.setdefault(pair.n, []).append(pair)
+    blocks = []
+    for group in by_length.values():
+        rows = [pair.forecast.values for pair in group[:rows_per_block]]
+        for pair in group[:actuals_per_length]:
+            blocks.append(_block(pair.actual.values, rows))
+    return blocks
+
+
+def _study_blocks() -> list[EvaluationPair]:
+    """The blocks the study stream scores: 3 series x 5 levels x 50 forecasts."""
+    config = experiments.ReliabilityConfig(
+        demand=experiments._demand_from_dict(
+            {"n": 96, "count_mu": 7.0, "count_sigma": 1.0, "magnitude_mu": 10.0, "magnitude_sigma": 2.0}),
+        variance_levels=(0.5, 1.0, 1.5, 2.0, 2.5), series_count=3, forecasts_per_series=50,
+        metrics=("spec",), seed=1,
+    )
+    blocks = []
+
+    def record(name, pair, params):
+        blocks.append(pair)
+        return compute_metric(name, pair, params)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "compute_metric", record)
+        experiments.run_reliability(config)
+    assert len(blocks) == 15 and all(b.forecast.values.shape == (50, 96) for b in blocks)
+    return blocks
+
+
+def _edge_blocks() -> list[EvaluationPair]:
+    """All-zero rows, a constant actual, and rows that take the overflow rescues."""
+    rng = np.random.default_rng(2525)
+    n = 40
+    lumpy = rng.uniform(0.1, 50, (6, n)) * (rng.random((6, n)) < 0.3)
+    huge = 10.0 ** rng.uniform(300, 308, (6, n)) * (rng.random((6, n)) < 0.5)
+    actual = rng.uniform(0.1, 50, n) * (rng.random(n) < 0.3)
+    zeros = np.zeros((2, n))
+    return [
+        _block(actual, np.vstack([zeros, lumpy, huge])),
+        _block(np.zeros(n), np.vstack([zeros, lumpy, huge])),  # constant: mase and rmsse NaN
+        _block(np.full(n, 4.0), np.vstack([lumpy, zeros])),
+        _block(10.0 ** rng.uniform(300, 308, n), np.vstack([huge, lumpy, zeros])),
+        _block(np.full(n, 1.7e308), np.vstack([np.full((2, n), 1.7e308), huge])),
+        _block([1e308, 1e308, 0.0], [[0.0, 0.0, 1e308], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]]),
+        _block([1.5e308], [[5e307], [0.0], [1.5e308]]),
+        _block([1e-200, 1.0, 1.0], [[1e-40, 1.0, 1.0], [1e300, 1.0, 0.0], [1e-200, 1.0, 1.0]]),
+    ]
+
+
+def _assert_rows_match(blocks, names=tuple(_METRIC_FUNCS), weights=SPEC_WEIGHTS):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for block in blocks:
+            rows = [EvaluationPair(block.actual, ForecastSeries(f)) for f in block.forecast.values]
+            for name in names:
+                got = _METRIC_FUNCS[name](block)
+                assert got.dtype == np.float64 and got.shape == (len(rows),)
+                for row, g in zip(rows, got):
+                    assert _same(g, _METRIC_FUNCS[name](row)), (name, row)
+            for params in weights:
+                got = spec_fast(block, params)
+                assert got.dtype == np.float64 and got.shape == (len(rows),)
+                for row, g in zip(rows, got):
+                    assert _same(g, spec_fast(row, params)), (params, row)
+
+
+def test_blocks_of_the_kernel_twin_pairs():
+    _assert_rows_match(_blocks_from(_pairs(), 2, 10))
+
+
+def test_blocks_past_one_chunk():
+    _assert_rows_match(_blocks_from(_long_pairs(), 1, 10))
+
+
+def test_study_stream_blocks():
+    _assert_rows_match(_study_blocks())
+
+
+def test_edge_blocks():
+    blocks = _edge_blocks()
+    _assert_rows_match(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_METRIC_FUNCS["mase"](blocks[1])).all()
+        assert np.isnan(_METRIC_FUNCS["rmsse"](blocks[2])).all()
+        # the rescues are reached: rows whose block form passes the float range
+        # (sums, smape denominators, SPEC charges at large weights) but whose score does not
+        rescued = {"mae": 0, "smape": 0, "spec": 0}
+        for block in blocks:
+            y, rows = block.actual.values, block.forecast.values
+            plain = {
+                "mae": np.add.reduce(np.abs(rows - y), axis=1) / y.size,
+                "smape": np.where(np.isinf(y + rows).any(axis=1), np.inf, 0.0),
+                "spec": spec._block_totals(y, rows, 1e306, 3e305) / y.size,
+            }
+            scores = {"mae": _METRIC_FUNCS["mae"](block), "smape": _METRIC_FUNCS["smape"](block),
+                      "spec": spec_fast(block, SPEC_WEIGHTS[-1])}
+            for name, values in plain.items():
+                rescued[name] += int((~np.isfinite(values) & np.isfinite(scores[name])).sum())
+    assert all(rescued.values()), rescued
+
+
+def test_compute_metric_wraps_the_block():
+    block = _edge_blocks()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute_metric("spec", block)
+    assert isinstance(value, ExtendedValue) and value.value.shape == (14,)
+    assert not value.is_finite  # the huge rows' costs pass the float range
+    assert compute_metric("mae", _block([1.0, 2.0], [[1.0, 2.0], [2.0, 1.0]])).is_finite

@@ -1,9 +1,13 @@
 """Series containers and validation."""
 
+import math
+
+import numpy as np
 import pytest
 
-from demandeval import EvaluationPair
+from demandeval import EvaluationPair, spec_alpha_sweep, spec_decompose, spec_literal, stock_cost
 from demandeval.errors import SeriesError
+from demandeval.metrics import ExtendedValue
 from demandeval.series import DemandSeries, ForecastSeries
 
 
@@ -35,6 +39,14 @@ class TestValidateSeries:
         with pytest.raises(ValueError):
             series.values[0] = 9.0
 
+    def test_forecast_block(self):
+        block = ForecastSeries([[1, 2, 3], [0, 0, 5]])
+        assert block.values.shape == (2, 3) and block.n == 3
+
+    def test_three_dimensional_forecast_rejected(self):
+        with pytest.raises(SeriesError, match="1-d or 2-d"):
+            ForecastSeries(np.ones((2, 2, 3)))
+
     def test_forecast_same_rules(self):
         with pytest.raises(SeriesError, match="series contains negative quantities"):
             ForecastSeries([-0.5])
@@ -55,3 +67,19 @@ class TestEvaluationPair:
     def test_n(self):
         pair = EvaluationPair.from_values([1, 2], [2, 1])
         assert pair.n == len(pair.actual) == len(pair.forecast) == 2
+
+    def test_block_horizon_mismatch(self):
+        with pytest.raises(SeriesError, match="actual has 2 steps but forecast has 3"):
+            EvaluationPair.from_values([1, 2], [[1, 2, 3], [3, 2, 1]])
+
+    @pytest.mark.parametrize("evaluate", [spec_literal, spec_decompose, stock_cost,
+                                          lambda pair: spec_alpha_sweep(pair, 3)])
+    def test_one_forecast_evaluators_reject_a_block(self, evaluate):
+        with pytest.raises(SeriesError, match="expected one forecast"):
+            evaluate(EvaluationPair.from_values([1, 2], [[1, 2], [2, 1]]))
+
+
+def test_extended_value_of_an_array_is_finite_only_when_every_entry_is():
+    assert ExtendedValue(np.array([1.0, 2.0])).is_finite
+    assert not ExtendedValue(np.array([1.0, math.nan])).is_finite
+    assert not ExtendedValue(math.inf).is_finite

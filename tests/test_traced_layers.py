@@ -79,8 +79,16 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     assert values["experiments.derive_seed.calls"] == calls
     pairs = 3 * 4 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
     assert values["simulate.perturb_forecast.calls"] == pairs
-    assert values["series.EvaluationPair.calls"] == pairs
-    assert values["warehouse.stock_cost.calls"] == 3 * 4 * len(cost_validity.variance_levels)
+    cost_rows = 3 * 4 * len(cost_validity.variance_levels)
+    assert values["warehouse.stock_cost.calls"] == cost_rows
+    # each (series, level) block is one (k, n) pair, scored by one call per metric;
+    # a pair per forecast is built only for the warehouse oracle
+    reliability_blocks = 3 * len(reliability.variance_levels)
+    cost_blocks = 3 * len(cost_validity.variance_levels)
+    assert values["series.EvaluationPair.calls"] == reliability_blocks + cost_blocks + cost_rows == 45
+    assert values["metrics.compute_metric.calls"] == (
+        reliability_blocks * len(reliability.metrics) + cost_blocks * len(cost_validity.metrics))
+    assert values["spec.spec_fast.calls"] == reliability_blocks + cost_blocks
 
 
 def _study(name: str, configs_dir):
