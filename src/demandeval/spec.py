@@ -9,15 +9,14 @@ been charged 1 + 2 + ... + k times by the end. Owed units are weighted by
 ``alpha1`` (opportunity cost), stored units by ``alpha2`` (stock-keeping
 cost), and the grand total is divided by the series length.
 
-One production kernel computes it: an O(n) FIFO walk that takes the series
-in chunks of ``_CHUNK`` steps, nets deliveries against demand in Python at
-the steps with volume only, at every length, and writes the charge at every
-step into two float arrays, so it holds no Python object per step. The
-length selects only how the charges between volume steps are filled: in
-Python up to ``_CHUNK`` steps, with numpy beyond. Both fills take each
-charge by the same float operations and sum the charges in step order, so
-they give the same bits. A (k, n) block of forecasts is netted row by row
-and filled with numpy once for the whole block, again with the same bits.
+One production kernel computes it: an O(n) FIFO walk that nets deliveries
+against demand in Python at the steps with volume only, and charges every
+step with numpy. It takes a (k, n) block of forecasts, one forecast being the
+block of one row, ``_CHUNK`` steps at a time: each row's walk nets the chunk,
+and the charges of the whole chunk are filled at once, into two float arrays
+where the per-step split is asked for. Each row's charges are summed in step
+order, so a row's score has the same bits in any block, and no Python object
+is kept per step.
 :func:`spec_fast` (the score, also of a block),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
@@ -144,71 +143,31 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
     return total / n
 
 
-_CHUNK = 1024  # steps per chunk, and the longest series whose charges are filled in Python
+_CHUNK = 1024  # steps per chunk: a block's SPEC holds a few (k, _CHUNK) arrays at a time
 
 
-def _netting(y: np.ndarray, f: np.ndarray, chunk: int, python_fill: tuple | None = None):
-    """Net FIFO queues of still-open demand ``y`` and deliveries ``f`` against
-    each other at the steps with volume only, ``chunk`` steps at a time:
-    between two of them at least one queue is empty and nothing changes. A
-    queue's age-weighted charge at step t is (t+1)*Q - QT, from its running
-    aggregates Q = sum(q) and QT = sum(q * origin), and only a side with
-    Q > 0 is charged.
+def _netting():
+    """One row's FIFO walk, sent the chunks of the row in turn. Still-open
+    demand and deliveries are queued and netted against each other at the
+    steps with volume only: between two of them at least one queue is empty
+    and nothing changes. A queue's age-weighted charge at step t is
+    (t+1)*Q - QT, from its running aggregates Q = sum(q) and
+    QT = sum(q * origin), and only a side with Q > 0 is charged.
 
-    Before netting at a volume step, and at a volume-free step that closes
-    each chunk, the run of steps since the last one is charged from the
-    aggregates in force. Given ``python_fill = (alpha1, alpha2, opp_at,
-    stock_at)``, Python writes the run's charges step by step through the two
-    memoryviews and sums them in step order. Otherwise the run's charged
-    (Q, QT) becomes the next row of the chunk's table, for :func:`_filled`:
-    a row is owed, held or zeros by Q > 0, not by which queue is open, since
-    an open queue can hold a float residue Q <= 0 that is not charged.
-
-    Yields ``(lo, hi, vm, table, total)`` per chunk: its 0-based bounds, its
-    volume mask, its table as a flat list (row i holds owed_q, owed_qt,
-    held_q, held_qt charged after i volume steps; empty with
-    ``python_fill``), and the Python fill's running total (0.0 without it).
+    For each chunk it is sent ``(table, steps, ys, fs)``: the chunk's table,
+    and the row's steps to net there, 1-based, with the demand and the
+    delivery at each. After each step it appends the aggregates charged from
+    then on to the table, as a row of owed_q, held_q, owed_qt, held_qt. A
+    row is owed, held or zeros by Q > 0, not by which queue is open, since an
+    open queue can hold a float residue Q <= 0 that is not charged.
     """
-    n = y.size
-    fill_in_python = python_fill is not None
-    if fill_in_python:
-        alpha1, alpha2, opp_at, stock_at = python_fill
-
     owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
     held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
     owed_q = owed_qt = 0.0
     held_q = held_qt = 0.0
-
-    total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        yc, fc = y[lo:hi], f[lo:hi]
-        vm = np.logical_or(yc, fc)  # the series are non-negative: volume where either is > 0
-        at = vm.nonzero()[0]
-        run_lo = lo + 1
-        table: list[float] = []
-        # the volume steps, then a step without volume that closes the chunk's last run;
-        # unnamed, so the lists are freed before the numpy fill's temporaries exist
-        for t, yt, ft in zip((at + (lo + 1)).tolist() + [hi + 1], yc[at].tolist() + [0.0],
-                             fc[at].tolist() + [0.0]):
-            if fill_in_python:
-                if owed_q > 0.0:
-                    for step in range(run_lo, t):
-                        charge = alpha1 * ((step + 1) * owed_q - owed_qt)
-                        opp_at[step - 1] = charge
-                        total += charge
-                elif held_q > 0.0:
-                    for step in range(run_lo, t):
-                        charge = alpha2 * ((step + 1) * held_q - held_qt)
-                        stock_at[step - 1] = charge
-                        total += charge
-                run_lo = t
-            elif owed_q > 0.0:
-                table += (owed_q, owed_qt, 0.0, 0.0)
-            elif held_q > 0.0:
-                table += (0.0, 0.0, held_q, held_qt)
-            else:
-                table += (0.0, 0.0, 0.0, 0.0)
+    while True:
+        table, steps, ys, fs = yield
+        for t, yt, ft in zip(steps, ys, fs):
             if yt > 0.0:
                 owed.append([t, yt])
                 owed_q += yt
@@ -237,81 +196,81 @@ def _netting(y: np.ndarray, f: np.ndarray, chunk: int, python_fill: tuple | None
                 owed_q = owed_qt = 0.0
             if not held:
                 held_q = held_qt = 0.0
-        yield lo, hi, vm, table, total
+            if owed_q > 0.0:
+                table += (owed_q, 0.0, owed_qt, 0.0)
+            elif held_q > 0.0:
+                table += (0.0, held_q, 0.0, held_qt)
+            else:
+                table += (0.0, 0.0, 0.0, 0.0)
 
 
-def _filled(table: list[float], index: np.ndarray, t1: np.ndarray, alpha1: float, alpha2: float,
-            opp: np.ndarray, stock: np.ndarray) -> np.ndarray:
-    """Charge each step from the row of :func:`_netting`'s ``table`` that ``index``
-    picks for it (``t1`` is t + 1 there), into ``opp`` and ``stock``, and return
-    their sum per step. Each charge is ``alpha * ((t + 1) * Q - QT)``, the
-    Python fill's operations in its order, and the uncharged side's row is
-    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged.
+def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float,
+                  charges: np.ndarray | None = None) -> np.ndarray:
+    """Each row's total charge, summed in step order, for a (k, n) ``block`` of
+    deliveries against demand ``y``; given a (2, k, n) ``charges``, the
+    weighted owed and held charge at each step is written into it.
+
+    The block is taken ``_CHUNK`` steps at a time. Each row's
+    :func:`_netting` walk nets the chunk's first step and the row's volume
+    steps into one table for the chunk, so every step's row of the table is
+    picked by the count of netted steps so far. Each charge is
+    ``alpha * ((t + 1) * Q - QT)`` on both sides; the uncharged side's row is
+    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged. Each
+    row's running total is folded into its chunk's first charge and summed
+    with ``add.accumulate``, which sums in sequence, so a row's total has the
+    same bits at any chunking and in any block. Besides ``charges``, one
+    chunk's temporaries are held: a few arrays of k by ``_CHUNK``.
     """
-    owed_q, owed_qt, held_q, held_qt = np.array(table, dtype=float).reshape(-1, 4).T.take(index, axis=1)
-    np.multiply(t1, owed_q, out=opp)
-    np.subtract(opp, owed_qt, out=opp)
-    np.multiply(alpha1, opp, out=opp)
-    np.multiply(t1, held_q, out=stock)
-    np.subtract(stock, held_qt, out=stock)
-    np.multiply(alpha2, stock, out=stock)
-    return opp + stock
+    k, n = block.shape
+    walks = [_netting() for _ in range(k)]
+    for walk in walks:
+        next(walk)
+    weights = np.array([alpha1, alpha2], dtype=float)[:, None, None]
+    totals = np.zeros(k)
+    # numpy warns where Python floats overflow to inf or give nan silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            yc, bc = y[lo:hi], block[:, lo:hi]
+            vm = np.logical_or(yc, bc)  # the series are non-negative: volume where either is > 0
+            # netting the first step appends the aggregates the chunk starts with;
+            # a step without volume leaves the queues as they are
+            vm[:, 0] = True
+            index = vm.cumsum().reshape(k, -1)  # counts of steps to net, all earlier rows' included
+            flat = vm.ravel().nonzero()[0]
+            at = flat % (hi - lo)
+            steps, ys, fs = (at + (lo + 1)).tolist(), yc[at].tolist(), bc.ravel()[flat].tolist()
+            table = [0.0] * 4  # picked by no step: every count is at least 1
+            start = 0
+            for walk, end in zip(walks, index[:, -1].tolist()):
+                walk.send((table, steps[start:end], ys[start:end], fs[start:end]))
+                start = end
+            t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
+            filled = np.array(table, dtype=float).reshape(-1, 4).T.take(index, axis=1)
+            q, qt = filled[:2], filled[2:]
+            out = q if charges is None else charges[:, :, lo:hi]
+            np.multiply(t1, q, out=q)
+            np.subtract(q, qt, out=q)
+            np.multiply(weights, q, out=out)
+            charge = np.add(out[0], out[1])
+            charge[:, 0] += totals
+            totals = np.add.accumulate(charge, axis=1, out=charge)[:, -1]
+            del filled, q, qt, out  # free this chunk's take before the next chunk makes its own
+    return totals
 
 
 def _fifo_charges(
     y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Weighted owed and held charges at each step (0-based) and their total,
-    for demand ``y`` and deliveries ``f``, as :func:`_netting` nets them.
-
-    The total is summed in step order; :func:`spec_fast` returns it over n,
-    so its bits depend on that order. Up to ``_CHUNK`` steps, where numpy's
-    per-call cost would outweigh its speed, Python fills the charges in one
-    chunk. Beyond, each chunk's table is forward-filled by the count of
-    volume steps so far and charged by :func:`_filled`, and the running total
-    is folded into the chunk's first charge and summed with
-    ``add.accumulate``, which sums in sequence. Both fills give the same
-    bits. The charges go into two float arrays, plus one chunk's
-    temporaries; no Python float is kept per step.
+    for demand ``y`` and deliveries ``f``: :func:`_block_totals` of the
+    one-row block. The total is summed in step order; :func:`spec_fast`
+    returns it over n, so its bits depend on that order. The charges go into
+    two float arrays; no Python float is kept per step.
     """
-    n = y.size
-    opp, stock = np.zeros(n), np.zeros(n)
-    if n <= _CHUNK:
-        [(*_, total)] = _netting(y, f, _CHUNK, (alpha1, alpha2, memoryview(opp), memoryview(stock)))
-        return opp, stock, total
-    total = 0.0
-    for lo, hi, vm, table, _ in _netting(y, f, _CHUNK):
-        t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
-        # numpy warns where Python floats overflow to inf or give nan silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            charge = _filled(table, vm.cumsum(), t1, alpha1, alpha2, opp[lo:hi], stock[lo:hi])
-            charge[0] += total
-            total = float(np.add.accumulate(charge, out=charge)[-1])
-    return opp, stock, total
-
-
-def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float) -> np.ndarray:
-    """The total :func:`_fifo_charges` gives each row of a (k, n) ``block`` of
-    deliveries against demand ``y``, bit for bit.
-
-    :func:`_netting` nets each row as one chunk into a table; the rows'
-    tables are stacked, forward-filled over the whole block and charged by
-    :func:`_filled` at once, and ``add.accumulate`` sums each row in step
-    order, as the one-row fills do.
-    """
-    k, n = block.shape
-    table: list[float] = []
-    starts = []  # each row's first table row
-    for f in block:
-        starts.append(len(table) // 4)
-        [(_, _, _, row_table, _)] = _netting(y, f, n)
-        table += row_table
-    index = np.logical_or(y, block).cumsum(axis=1)
-    index += np.array(starts)[:, None]
-    t1 = np.arange(2, n + 2, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        charge = _filled(table, index, t1, alpha1, alpha2, np.empty((k, n)), np.empty((k, n)))
-        return np.add.accumulate(charge, axis=1)[:, -1]
+    charges = np.empty((2, 1, y.size))
+    [total] = _block_totals(y, f[None], alpha1, alpha2, charges).tolist()
+    return charges[0, 0], charges[1, 0], total
 
 
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:

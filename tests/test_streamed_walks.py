@@ -9,11 +9,10 @@ streamed forms must give the same score, per-step split, sweep and cost bit
 for bit, NaN equal to NaN, on every kind of pair, including pairs whose
 charges pass the float range and take the rescaled pass.
 
-The kernel nets only at volume steps, and fills the charges in between in
-one of two ways, chosen by series length: in Python up to ``spec._CHUNK``
-steps, and chunk by chunk with numpy beyond. The twin test covers both:
-``_pairs`` and the ``_long_pairs`` of up to ``spec._CHUNK`` steps take the
-Python fill, the other ``_long_pairs`` the numpy fill.
+The kernel nets only at volume steps, and fills the charges in between
+chunk by chunk, ``spec._CHUNK`` steps at a time. The twin test covers series
+of one chunk and of several: ``_pairs`` and the ``_long_pairs`` of up to
+``spec._CHUNK`` steps are one chunk long, the other ``_long_pairs`` several.
 """
 
 import math
@@ -36,6 +35,7 @@ from demandeval import (
     stock_cost,
 )
 from demandeval import spec
+from demandeval.series import ForecastSeries
 
 WEIGHTS = (SpecParams(0.75, 0.25), SpecParams(1.0, 0.0), SpecParams(0.0, 1.0))
 
@@ -183,10 +183,10 @@ def _same(a, b) -> bool:
 
 
 def _long_pairs():
-    """Pairs at and past the kernel's fill bound of one chunk: each kind of
+    """Pairs at and past the kernel's chunk length: each kind of
     :func:`_random_pair` at lengths from one chunk less a step to about
     5,000, single batches that stay open across chunk boundaries, and one that
-    stays open over the whole of the longest series the Python fill takes."""
+    stays open over the whole of the longest one-chunk series."""
     chunk = spec._CHUNK
     rng = np.random.default_rng(1415)
     pairs = [_random_pair(rng, n, kind) for n in (chunk + 1, 2 * chunk, 2 * chunk + 1, 3_001, 4_999)
@@ -221,7 +221,7 @@ def test_kernel_matches_its_list_twin(pairs, long_pairs, monkeypatch):
     for pair, got_results, want_results in zip(pairs + long_pairs, got, want):
         for g, w in zip(got_results, want_results):
             assert _same(g, w), (pair, g, w)
-    # the rescaled pass was taken on both sides of the kernel's fill selection
+    # the rescaled pass was taken on one-chunk and on multi-chunk series
     for fill_in_python in (True, False):
         assert any(not math.isfinite(_list_fifo_charges(pair.actual.values, pair.forecast.values,
                                                         1.0, 1.0)[2])
@@ -266,3 +266,25 @@ def test_peak_memory_per_step(walk, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n
+
+
+def test_block_peak_memory_per_chunk():
+    # a block of lumpy forecasts of one series, as above; the bound is in
+    # float64s per chunk of the block's rows, so it does not grow with n
+    k, n = 50, 20_000
+    density = 7.0 / 96.0
+    actual = generate_demand(DemandGenConfig(
+        n=n, count_mu=density * n, count_sigma=math.sqrt(density * n),
+        magnitude_mu=10.0, magnitude_sigma=2.0, seed=1414,
+    ))
+    rows = np.stack([perturb_forecast(actual, ErrorInjectionConfig(
+        vertical_sigma=2.0, horizontal_sigma=2.0, seed=1415 + i,
+    )).values for i in range(k)])
+    block = EvaluationPair(actual, ForecastSeries(rows))
+    tracemalloc.start()
+    try:
+        spec_fast(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * k * spec._CHUNK
