@@ -353,13 +353,14 @@ def _pair_stream(
     the demand series is drawn from the seed at the demand key, and forecast
     ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
     forecast seeds come from one :func:`derive_seed` call, and their streams
-    from one :func:`_reset_streams` pass. A block's forecasts are stacked into
-    one (k, n) :class:`EvaluationPair`, which each metric scores in one
-    :func:`compute_metric` call; a pair per forecast is built only for the
-    warehouse oracle, which walks one forecast at a time. Each block is
-    yielded as ``(level index, {metric: values in forecast order}, costs)``
-    for the metrics keyed in ``bad``, where ``costs`` holds the warehouse cost
-    of each forecast when ``cost_params`` is given and is empty otherwise.
+    from one :func:`_reset_streams` pass. One :func:`perturb_forecast` call
+    perturbs a block into one (k, n) :class:`EvaluationPair`, each row from
+    its own stream, and each metric scores it in one :func:`compute_metric`
+    call; a pair per forecast is built only for the warehouse oracle, which
+    walks one forecast at a time. Each block is yielded as ``(level index,
+    {metric: values in forecast order}, costs)`` for the metrics keyed in
+    ``bad``, where ``costs`` holds the warehouse cost of each forecast when
+    ``cost_params`` is given and is empty otherwise.
     Non-finite values stay in the block and are counted per metric into ``bad``.
     """
     for demand_key, blocks in cells:
@@ -369,10 +370,9 @@ def _pair_stream(
             seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
             # Values past the float range count as non-finite, without numpy warnings.
             with np.errstate(over="ignore", invalid="ignore"):
-                forecasts = [perturb_forecast(actual, error, rng) for rng in _reset_streams(seeds)]
-                costs = ([] if cost_params is None else
-                         [stock_cost(EvaluationPair(actual, f), cost_params) for f in forecasts])
-                block = EvaluationPair(actual, ForecastSeries(np.stack([f.values for f in forecasts])))
+                block = EvaluationPair(actual, perturb_forecast(actual, error, _reset_streams(seeds)))
+                rows = [] if cost_params is None else map(ForecastSeries, block.forecast.values)
+                costs = [stock_cost(EvaluationPair(actual, f), cost_params) for f in rows]
                 values: dict[str, list[float]] = {}
                 for m in bad:
                     scores = compute_metric(m, block, params).value

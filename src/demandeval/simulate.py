@@ -9,8 +9,8 @@ other implementations are not a goal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def generate_demand(config: DemandGenConfig) -> DemandSeries:
 
 
 def perturb_forecast(
-    actual: DemandSeries, config: ErrorInjectionConfig, rng: np.random.Generator | None = None
+    actual: DemandSeries, config: ErrorInjectionConfig, rng: np.random.Generator | Iterable | None = None
 ) -> ForecastSeries:
     """Build a forecast by displacing and rescaling each spike of ``actual``.
 
@@ -120,45 +120,45 @@ def perturb_forecast(
     ``config.seed`` is then unused. Without it they are drawn from
     ``default_rng(config.seed)``. The experiment runners pass each forecast
     a generator in ``default_rng(seed)``'s starting state, so either way a
-    seed gives the same forecast.
+    seed gives the same forecast. Given an iterable of k generators, the
+    call returns a (k, n) block whose row i is, bit for bit, what a lone
+    call with generator i returns, and advances each generator as that call
+    would; a non-finite row raises ``SeriesError``.
 
     Spikes are processed in time order; per spike the horizontal offset is
     drawn before the vertical one. Offsets are rounded to the nearest step
     (ties to even) and clamped to the horizon; magnitudes are floored at 0.
 
-    The normals of all spikes come from one draw: even draws are the
-    horizontal offsets and odd ones the vertical errors, the order of one
-    ``rng.normal`` call each per spike, and ``mu + sigma * z`` is what
-    ``Generator.normal`` computes. The per-spike arithmetic is done on
-    Python floats, which at the studies' handful of spikes per series costs
-    less than a chain of numpy calls and never warns on overflow. A long
-    series is drawn ``_SPIKE_BLOCK`` steps at a time from the same
-    generator, so its temporaries stay small. Colliding spikes are added
-    through a memoryview of the output, one Python float add each.
+    Each row's normals come from one ``standard_normal`` fill of its own
+    generator: even draws are the horizontal offsets and odd ones the
+    vertical errors, the order of one ``rng.normal`` call each per spike,
+    and ``mu + sigma * z`` is what ``Generator.normal`` computes. The
+    arithmetic runs on all rows at once, ``_SPIKE_BLOCK`` steps of the
+    actual at a time, so temporaries stay small on a long series. Colliding
+    spikes are added by ``np.add.at`` in spike order.
     """
     y = actual.values
     n = y.size
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    out = np.zeros(n)
-    out_at = memoryview(out)
+    single = rng is None or isinstance(rng, np.random.Generator)
+    streams = [np.random.default_rng(config.seed) if rng is None else rng] if single else list(rng)
+    out = np.zeros((len(streams), n))
+    row_starts = np.arange(0, out.size, n)[:, None]
     h_mu, h_sigma = config.horizontal_mu, config.horizontal_sigma
     v_mu, v_sigma = config.vertical_mu, config.vertical_sigma
-    for start in range(0, n, _SPIKE_BLOCK):
-        positions = y[start : start + _SPIKE_BLOCK].nonzero()[0]
-        if start:
-            positions += start
-        draws = rng.standard_normal(2 * positions.size).tolist()
-        spikes = zip(positions.tolist(), y[positions].tolist(), draws[0::2], draws[1::2])
-        for pos, value, h_draw, v_draw in spikes:
-            shift = h_mu + h_sigma * h_draw
-            if not -n < shift < n:  # clamp before rounding: a draw may exceed any int64
-                shift = math.copysign(n, shift)
-            magnitude = value + (v_mu + v_sigma * v_draw)
-            if magnitude > 0:
-                target = min(max(pos + round(shift), 0), n - 1)
-                out_at[target] += magnitude
-    return ForecastSeries(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range fails validation
+        for start in range(0, n, _SPIKE_BLOCK):
+            positions = y[start : start + _SPIKE_BLOCK].nonzero()[0] + start
+            draws = np.empty((len(streams), 2 * positions.size))
+            for stream, row in zip(streams, draws):
+                stream.standard_normal(out=row)
+            shift = h_mu + h_sigma * draws[:, 0::2]
+            # clamp before rounding: a draw may exceed any int64
+            shift = np.where(np.abs(shift) < n, shift, np.copysign(n, shift))
+            magnitude = y[positions] + (v_mu + v_sigma * draws[:, 1::2])
+            target = np.clip(positions + np.rint(shift), 0, n - 1).astype(np.intp) + row_starts
+            kept = magnitude > 0
+            np.add.at(out.reshape(-1), target[kept], magnitude[kept])
+    return ForecastSeries(out[0] if single else out)
 
 
 def naive_forecast(actual: DemandSeries) -> ForecastSeries:

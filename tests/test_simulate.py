@@ -152,16 +152,15 @@ class TestPerturbForecast:
                 out[target] += magnitude
         return out
 
-    @pytest.mark.parametrize("block", [simulate._SPIKE_BLOCK, 5])
-    def test_matches_per_spike_twin(self, monkeypatch, block):
-        monkeypatch.setattr(simulate, "_SPIKE_BLOCK", block)  # 5: spikes drawn over many blocks
+    @staticmethod
+    def _adversarial_cases():
+        """3,600 (actual, config) cases: short series, huge spikes, shifts and errors past int64."""
         rng = np.random.default_rng(23)
         horizontal = [(0.0, 0.5), (1.5, 2.5), (-3.0, 40.0), (0.5, 0.0), (200.0, 1.0),
                       (0.0, 1e300), (1e19, 0.0), (-1e19, 2.0), (-1e308, 0.0)]
         vertical = [(0.0, 1.0), (-5.0, 3.0), (2.0, 0.0), (1e19, 1.0), (-1e308, 0.0),
                     (0.0, 1e300)]
         magnitudes = [1.0, 10.0, 0.5, 1e308]
-        checked = 0
         for case in range(3600):
             n = int(rng.choice([1, 2, 3, 14, 96]))
             values = np.zeros(n)
@@ -175,7 +174,13 @@ class TestPerturbForecast:
                 h_mu = h_sigma = 0.0
             elif direction == 1:
                 v_mu = v_sigma = 0.0
-            config = ErrorInjectionConfig(v_mu, v_sigma, h_mu, h_sigma, seed=int(rng.integers(2**63)))
+            yield actual, ErrorInjectionConfig(v_mu, v_sigma, h_mu, h_sigma, seed=int(rng.integers(2**63)))
+
+    @pytest.mark.parametrize("block", [simulate._SPIKE_BLOCK, 5])
+    def test_matches_per_spike_twin(self, monkeypatch, block):
+        monkeypatch.setattr(simulate, "_SPIKE_BLOCK", block)  # 5: spikes drawn over many blocks
+        checked = 0
+        for actual, config in self._adversarial_cases():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = self._per_spike_twin(actual, config)
@@ -191,8 +196,36 @@ class TestPerturbForecast:
                             perturb_forecast(actual, given, stream)
                         continue
                     got = perturb_forecast(actual, given, stream).values
-                assert got.tobytes() == want.tobytes(), (values, config, stream)
+                assert got.tobytes() == want.tobytes(), (actual.values, config, stream)
             checked += finite
+        assert checked >= 3000
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [simulate._SPIKE_BLOCK, 5])
+    def test_block_rows_match_lone_calls(self, monkeypatch, block):
+        monkeypatch.setattr(simulate, "_SPIKE_BLOCK", block)
+        checked = 0
+        for actual, config in self._adversarial_cases():
+            seeds = (config.seed, config.seed + 1, config.seed + 2)
+            streams = [np.random.default_rng(seed) for seed in seeds]
+            twins = [np.random.default_rng(seed) for seed in seeds]
+            lone = []
+            for twin in twins:
+                try:
+                    lone.append(perturb_forecast(actual, config, twin).values)
+                except SeriesError:
+                    lone.append(None)
+            if any(row is None for row in lone):
+                with pytest.raises(SeriesError, match="series contains NaN or infinite entries"):
+                    perturb_forecast(actual, config, iter(streams))
+            else:
+                got = perturb_forecast(actual, config, iter(streams)).values
+                assert got.shape == (3, actual.n)
+                assert [row.tobytes() for row in got] == [row.tobytes() for row in lone], (
+                    actual.values, config)
+                checked += 1
+            # each stream is left where its lone call leaves it
+            assert [s.standard_normal() for s in streams] == [t.standard_normal() for t in twins]
         assert checked >= 3000
 
     def test_volume_preserved_away_from_boundaries(self):

@@ -77,8 +77,9 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     # run 1 holds both studies; one seed call per series and one per (series, level) block
     calls = 3 * (1 + len(reliability.variance_levels)) + 3 * (1 + len(cost_validity.variance_levels))
     assert values["experiments.derive_seed.calls"] == calls
-    pairs = 3 * 4 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
-    assert values["simulate.perturb_forecast.calls"] == pairs
+    # one perturb_forecast call per (series, level) block
+    blocks = 3 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
+    assert values["simulate.perturb_forecast.calls"] == blocks == 21
     cost_rows = 3 * 4 * len(cost_validity.variance_levels)
     assert values["warehouse.stock_cost.calls"] == cost_rows
     # each (series, level) block is one (k, n) pair, scored by one call per metric;
