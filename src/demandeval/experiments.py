@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,19 +90,24 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     """Deterministic substream seed: ``SeedSequence(root, spawn_key=key)``'s first uint64.
 
     ``root`` must be a non-negative int (numpy draws fresh entropy for None).
-    A 1-d integer array as the last key element (each value below 2**32)
-    stands for one key per value, and the list of their seeds is returned:
-    numpy mixes the pool of the root and the key prefix, and the last key
-    word is folded in here for the whole array in one pass. Parallel or
+    Trailing key elements may be 1-d integer arrays (each value below 2**32):
+    they stand for one key per combination of their values, and the list of
+    those keys' seeds is returned, flat, the last array varying fastest.
+    numpy mixes the pool of the root and the int key prefix, and each array's
+    key word is folded in here for all its values in one pass. Parallel or
     out-of-order evaluation must use these seeds, not one sequential stream.
     """
-    if not (key and isinstance(key[-1], np.ndarray)):
+    split = len(key)
+    while split and isinstance(key[split - 1], np.ndarray):
+        split -= 1
+    if split == len(key):
         return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
-    *prefix, last = key
-    if last.ndim != 1 or last.dtype.kind not in "iu":
-        raise ValueError(f"a key array must be 1-d of integers, got {last.dtype} {last.shape}")
-    if last.size and (last.min() < 0 or last.max() > _MASK32):
-        raise ValueError("key array values must lie in [0, 2**32)")
+    prefix, arrays = key[:split], key[split:]
+    for values in arrays:
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            raise ValueError(f"a key array must be 1-d of integers, got {values.dtype} {values.shape}")
+        if values.size and (values.min() < 0 or values.max() > _MASK32):
+            raise ValueError("key array values must lie in [0, 2**32)")
     pool = np.random.SeedSequence(root, spawn_key=prefix).pool.tolist()
     # numpy hashmixed each uint32 entropy word (the root's, padded to the pool
     # size, then at least one per prefix element) once per pool word, which
@@ -109,12 +115,14 @@ def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
     words = max(len(pool), (int(root).bit_length() + 31) // 32)
     words += sum((int(part).bit_length() + 31) // 32 or 1 for part in prefix)
     const = _INIT_A * pow(_MULT_A, len(pool) * words, _MASK32 + 1) & _MASK32
-    word = last.astype(np.uint64)
-    for dst in range(len(pool)):
-        mixed, const = _hashmix(word, const)
-        pool[dst] = _mix(pool[dst], mixed)
+    for axis, values in enumerate(arrays):
+        # each array on its own axis, so the pool broadcasts to every combination
+        word = values.astype(np.uint64).reshape([-1 if a == axis else 1 for a in range(len(arrays))])
+        for dst in range(len(pool)):
+            mixed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], mixed)
     low, high = _state_words(pool, 2)  # generate_state(1, uint64)
-    return (low | high << 32).tolist()
+    return (low | high << 32).ravel().tolist()
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -339,6 +347,12 @@ def _error_config(direction: str, mu: float, sigma: float) -> ErrorInjectionConf
     )
 
 
+#: Most forecast values one batch holds: a cell's rows are scored
+#: ``max(1, _BATCH_VALUES // n)`` at a time, so a study's memory does not grow
+#: with its forecasts times its horizon.
+_BATCH_VALUES = 2**14
+
+
 def _pair_stream(
     config: ReliabilityConfig | ValidityConfig,
     direction: str,
@@ -347,38 +361,50 @@ def _pair_stream(
     params: SpecParams = DEFAULT_PARAMS,
     cost_params: SpecParams | None = None,
 ):
-    """Score every forecast of every cell, one (series, level) block at a time.
+    """Score every forecast of every cell, in batches of at most :data:`_BATCH_VALUES` values.
 
-    ``cells`` yields ``(demand key, [(level index, mu, sigma, forecast key)])``:
-    the demand series is drawn from the seed at the demand key, and forecast
-    ``f`` of a block from the seed at ``forecast key + (f,)``; a block's
-    forecast seeds come from one :func:`derive_seed` call, and their streams
-    from one :func:`_reset_streams` pass. One :func:`perturb_forecast` call
-    perturbs a block into one (k, n) :class:`EvaluationPair`, each row from
-    its own stream, and each metric scores it in one :func:`compute_metric`
-    call; a pair per forecast is built only for the warehouse oracle, which
-    walks one forecast at a time. Each block is yielded as ``(level index,
-    {metric: values in forecast order}, costs)`` for the metrics keyed in
-    ``bad``, where ``costs`` holds the warehouse cost of each forecast when
-    ``cost_params`` is given and is empty otherwise.
+    ``cells`` yields ``(demand key, forecast key prefix, [(level index, mu,
+    sigma, key element)])``: one demand series, drawn from the seed at the
+    demand key, and a block of forecasts per level, forecast ``f`` drawn
+    from the seed at ``prefix + (key element, f)``. A cell's forecast seeds
+    come from one :func:`derive_seed` call. A batch, at least one row, takes
+    its streams from one :func:`_reset_streams` pass and the rows of each of
+    its blocks from one :func:`perturb_forecast` call; it is one
+    :class:`EvaluationPair`, scored in one :func:`compute_metric` call per
+    metric, and a row's score does not depend on its batch. Only the
+    warehouse oracle walks one forecast at a time. Each block is yielded as
+    ``(level index, {metric: values in forecast order}, costs)`` for the
+    metrics keyed in ``bad``, ``costs`` holding each forecast's warehouse
+    cost when ``cost_params`` is given and empty otherwise.
     Non-finite values stay in the block and are counted per metric into ``bad``.
     """
-    for demand_key, blocks in cells:
+    k = config.forecasts_per_series
+    for demand_key, prefix, blocks in cells:
         actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
-        for l_idx, mu, sigma, forecast_key in blocks:
-            error = _error_config(direction, mu, sigma)
-            seeds = derive_seed(config.seed, *forecast_key, np.arange(config.forecasts_per_series))
-            # Values past the float range count as non-finite, without numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = EvaluationPair(actual, perturb_forecast(actual, error, _reset_streams(seeds)))
-                rows = [] if cost_params is None else map(ForecastSeries, block.forecast.values)
-                costs = [stock_cost(EvaluationPair(actual, f), cost_params) for f in rows]
-                values: dict[str, list[float]] = {}
+        errors = [_error_config(direction, mu, sigma) for _, mu, sigma, _ in blocks]
+        seeds = derive_seed(config.seed, *prefix, np.array([key for *_, key in blocks]), np.arange(k))
+        size = max(1, _BATCH_VALUES // actual.n)
+        values: dict[str, list[float]] = {m: [] for m in bad}
+        costs: list[float] = []
+        # Values past the float range count as non-finite, without numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(seeds), size):
+                hi = min(lo + size, len(seeds))
+                streams = _reset_streams(seeds[lo:hi])
+                edges = [lo, *range(lo // k * k + k, hi, k), hi]  # where the batch's blocks meet
+                pieces = [perturb_forecast(actual, errors[a // k], islice(streams, b - a))
+                          for a, b in zip(edges, edges[1:])]
+                batch = EvaluationPair(actual, pieces[0] if len(pieces) == 1 else
+                                       ForecastSeries._owning(np.concatenate([p.values for p in pieces])))
+                rows = [] if cost_params is None else map(ForecastSeries, batch.forecast.values)
+                costs += [stock_cost(EvaluationPair(actual, f), cost_params) for f in rows]
                 for m in bad:
-                    scores = compute_metric(m, block, params).value
-                    values[m] = scores.tolist()
+                    scores = compute_metric(m, batch, params).value
+                    values[m] += scores.tolist()
                     bad[m] += int(np.count_nonzero(~np.isfinite(scores)))
-            yield l_idx, values, costs
+        for i, (l_idx, *_) in enumerate(blocks):
+            block = slice(i * k, i * k + k)
+            yield l_idx, {m: v[block] for m, v in values.items()}, costs[block]
 
 
 def _outcome(metric: str, bad: int, xs, ys, **per_level) -> MetricOutcome:
@@ -393,11 +419,10 @@ def _outcome(metric: str, bad: int, xs, ys, **per_level) -> MetricOutcome:
 
 
 def _series_cells(config: ReliabilityConfig):
-    """Series-outer cells: demand key (0, s), forecast keys (1, s, l)."""
+    """Series-outer cells: demand key (0, s), forecast keys (1, s, l, f)."""
     for s_idx in range(config.series_count):
-        yield (0, s_idx), [
-            (l_idx, config.error_mu, sigma, (1, s_idx, l_idx))
-            for l_idx, sigma in enumerate(config.variance_levels)
+        yield (0, s_idx), (1, s_idx), [
+            (l_idx, config.error_mu, sigma, l_idx) for l_idx, sigma in enumerate(config.variance_levels)
         ]
 
 
@@ -441,7 +466,7 @@ def run_validity(config: ValidityConfig) -> ExperimentReport:
     horizontal = config.direction == "horizontal"
     bad = {m: 0 for m in config.metrics if not (horizontal and m in PERCENTAGE_METRICS)}
     cells = (  # none when no metric is scored, so no series is drawn
-        ((0, l_idx, s_idx), [(l_idx, mu, config.sigma, (1, l_idx, s_idx))])
+        ((0, l_idx, s_idx), (1, l_idx), [(l_idx, mu, config.sigma, s_idx)])
         for l_idx, mu in enumerate(levels)
         for s_idx in range(config.series_count if bad else 0)
     )

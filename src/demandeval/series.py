@@ -14,18 +14,23 @@ import numpy as np
 from .errors import SeriesError
 
 
-def _validated_array(raw, ndims: tuple[int, ...]) -> np.ndarray:
+def _validated_array(raw, ndims: tuple[int, ...], owned: bool = False) -> np.ndarray:
+    """``raw`` as a read-only float array, copied unless ``owned``: a fresh
+    float array that no caller writes to again is made read-only in place."""
     arr = np.asarray(raw, dtype=float)
     if arr.ndim not in ndims:
         kind = " or ".join(f"{d}-d" for d in ndims)
         raise SeriesError(f"expected a {kind} sequence of quantities, got shape {arr.shape}")
     if arr.size == 0:
         raise SeriesError("series must contain at least one time step")
-    if not np.isfinite(arr).all():
+    # the extremes are NaN or infinite exactly when an entry is, and need no mask of n entries
+    low, high = np.min(arr), np.max(arr)
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise SeriesError("series contains NaN or infinite entries")
-    if (arr < 0).any():
+    if low < 0:
         raise SeriesError("series contains negative quantities")
-    arr = arr.copy()
+    if not owned:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -44,6 +49,14 @@ class _Series:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _validated_array(self.values, self._NDIMS))
+
+    @classmethod
+    def _owning(cls, values: np.ndarray):
+        """The series of ``values``, a float array just built and held by no one
+        else, validated and made read-only in place: the one copy is the series'."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "values", _validated_array(values, cls._NDIMS, owned=True))
+        return series
 
     @property
     def n(self) -> int:

@@ -135,7 +135,8 @@ def perturb_forecast(
     and ``mu + sigma * z`` is what ``Generator.normal`` computes. The
     arithmetic runs on all rows at once, ``_SPIKE_BLOCK`` steps of the
     actual at a time, so temporaries stay small on a long series. Colliding
-    spikes are added by ``np.add.at`` in spike order.
+    spikes are added by ``np.add.at`` in spike order. The forecast holds
+    that output array itself, not a validated copy of it.
     """
     y = actual.values
     n = y.size
@@ -158,7 +159,7 @@ def perturb_forecast(
             target = np.clip(positions + np.rint(shift), 0, n - 1).astype(np.intp) + row_starts
             kept = magnitude > 0
             np.add.at(out.reshape(-1), target[kept], magnitude[kept])
-    return ForecastSeries(out[0] if single else out)
+    return ForecastSeries._owning(out[0] if single else out)
 
 
 def naive_forecast(actual: DemandSeries) -> ForecastSeries:

@@ -264,13 +264,18 @@ def _fifo_charges(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Weighted owed and held charges at each step (0-based) and their total,
     for demand ``y`` and deliveries ``f``: :func:`_block_totals` of the
-    one-row block. The total is summed in step order; :func:`spec_fast`
-    returns it over n, so its bits depend on that order. The charges go into
-    two float arrays; no Python float is kept per step.
+    one-row block. The total is summed in step order, the same bits as the
+    :func:`_row_total` that :func:`spec_fast` returns over n. The charges go
+    into two float arrays; no Python float is kept per step.
     """
     charges = np.empty((2, 1, y.size))
     [total] = _block_totals(y, f[None], alpha1, alpha2, charges).tolist()
     return charges[0, 0], charges[1, 0], total
+
+
+def _row_total(y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> list[float]:
+    """The total of :func:`_fifo_charges`, as a 1-list, without its per-step charges."""
+    return _block_totals(y, f[None], alpha1, alpha2).tolist()
 
 
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
@@ -334,7 +339,7 @@ def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> floa
     """O(n) evaluator matching :func:`spec_literal` to 1e-9; on a (k, n)
     forecast block, one score per row (:func:`by_row`, :func:`_block_totals`)."""
     a1, a2 = params.alpha1, params.alpha2
-    return by_row(pair, lambda y, f: walk_mean(_fifo_charges, y, f, a1, a2),
+    return by_row(pair, lambda y, f: walk_mean(_row_total, y, f, a1, a2),
                   lambda y, block: _block_totals(y, block, a1, a2) / y.size)
 
 

@@ -38,7 +38,7 @@ def _blocks_from(pairs, actuals_per_length: int, rows_per_block: int) -> list[Ev
 
 
 def _study_blocks() -> list[EvaluationPair]:
-    """The blocks the study stream scores: 3 series x 5 levels x 50 forecasts."""
+    """The batches the study stream scores: 3 series, each of 5 levels x 50 forecasts."""
     config = experiments.ReliabilityConfig(
         demand=experiments._demand_from_dict(
             {"n": 96, "count_mu": 7.0, "count_sigma": 1.0, "magnitude_mu": 10.0, "magnitude_sigma": 2.0}),
@@ -54,7 +54,9 @@ def _study_blocks() -> list[EvaluationPair]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "compute_metric", record)
         experiments.run_reliability(config)
-    assert len(blocks) == 15 and all(b.forecast.values.shape == (50, 96) for b in blocks)
+    # each series' 250 rows, in batches of at most _BATCH_VALUES values
+    size = experiments._BATCH_VALUES // 96
+    assert [b.forecast.values.shape for b in blocks] == [(size, 96), (250 - size, 96)] * 3
     return blocks
 
 

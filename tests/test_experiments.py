@@ -5,6 +5,7 @@ reduced counts so the whole module stays fast.
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -100,6 +101,24 @@ class TestSeedDerivation:
                     assert all(type(seed) is int for seed in got)
         assert derive_seed(3, 1, np.arange(0)) == []
 
+    def test_two_array_form_is_the_outer_product(self):
+        rng = np.random.default_rng(14)
+        levels = np.array([0, 4, 2**32 - 1, *rng.integers(0, 2**32, size=2)])
+        forecasts = np.array([0, 1, 49, 2**31, 2**32 - 1])
+        roots = [0, 2**32 - 1, 2**64 - 1, 2**130, int(rng.integers(0, 2**63))]
+        prefixes = [(), (1,), (1, 199), (2**32, 2**64 - 1)]
+        for root in roots:
+            for prefix in prefixes:
+                for dtype in (np.int64, np.uint32, np.uint64):
+                    got = derive_seed(root, *prefix, levels.astype(dtype), forecasts.astype(dtype))
+                    want = [self._numpy_seed(root, *prefix, int(l), int(f))
+                            for l in levels for f in forecasts]
+                    assert got == want, (root, prefix, dtype)
+                    assert all(type(seed) is int for seed in got)
+        for empty in ((np.arange(0), np.arange(3)), (np.arange(3), np.arange(0)),
+                      (np.arange(0), np.arange(0))):
+            assert derive_seed(3, 1, *empty) == []
+
     def test_reset_streams_match_default_rng(self):
         rng = np.random.default_rng(13)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
@@ -131,6 +150,9 @@ class TestSeedDerivation:
     def test_vector_form_rejects_other_arrays(self, values):
         with pytest.raises(ValueError):
             derive_seed(1, 2, values)
+        for key in ((values, np.arange(3)), (np.arange(3), values)):
+            with pytest.raises(ValueError):
+                derive_seed(1, 2, *key)
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
@@ -293,6 +315,26 @@ class TestReliability:
         run_reliability(config)
         # generate_demand's generator per series; a per-forecast one would make 4 per block
         assert calls == {"default_rng": 3, "ErrorInjectionConfig": 3 * len(config.variance_levels)}
+
+    def test_a_cell_past_one_batch_holds_one_batch(self, configs_dir):
+        # one cell of the shipped config, 2 levels x 50 forecasts, at a horizon just
+        # past a batch's values, so each batch is one row; the bound is in float64s
+        # of a batch, plus the series. Few spikes keep the netting short under tracemalloc.
+        data = json.loads((configs_dir / "reliability.json").read_text(encoding="utf-8"))
+        shipped = ReliabilityConfig.from_dict(data)
+        n = experiments._BATCH_VALUES + 1
+        config = replace(shipped, demand=replace(shipped.demand, n=n, count_mu=150.0),
+                         variance_levels=shipped.variance_levels[:2])
+        bad = dict.fromkeys(config.metrics, 0)
+        cell = next(experiments._series_cells(config))
+        tracemalloc.start()
+        try:
+            blocks = list(experiments._pair_stream(config, config.error_directions, [cell], bad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(values["spec"]) for _, values, _ in blocks] == [50, 50]
+        assert peak <= 6 * 8 * max(experiments._BATCH_VALUES, n) + 8 * n
 
     def test_report_structure(self):
         report = run_reliability(small_reliability())

@@ -52,6 +52,22 @@ class TestValidateSeries:
             ForecastSeries([-0.5])
         assert ForecastSeries([0.5]).n == 1
 
+    def test_a_callers_array_is_copied(self):
+        raw = np.array([[1.0, 2.0], [0.0, 3.0]])
+        block = ForecastSeries(raw)
+        assert not np.shares_memory(block.values, raw) and raw.flags.writeable
+        raw[0, 0] = 9.0
+        assert block.values[0, 0] == 1.0
+
+    def test_an_owned_array_is_validated_and_kept(self):
+        raw = np.array([[1.0, 2.0], [0.0, 3.0]])
+        block = ForecastSeries._owning(raw)
+        assert block.values is raw and not raw.flags.writeable
+        assert block == ForecastSeries([[1, 2], [0, 3]]) and type(block) is ForecastSeries
+        for bad, match in (([-1.0], "negative"), ([math.nan, 1.0], "NaN"), ([[[1.0]]], "1-d or 2-d")):
+            with pytest.raises(SeriesError, match=match):
+                ForecastSeries._owning(np.array(bad))
+
     def test_equality_needs_same_series_type(self):
         assert DemandSeries([1, 2]) == DemandSeries([1.0, 2.0])
         assert ForecastSeries([1, 2]) == ForecastSeries([1.0, 2.0])

@@ -1,6 +1,7 @@
 """Demand generation, error injection, naive forecasting, and extracts."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -227,6 +228,20 @@ class TestPerturbForecast:
             # each stream is left where its lone call leaves it
             assert [s.standard_normal() for s in streams] == [t.standard_normal() for t in twins]
         assert checked >= 3000
+
+    def test_peak_memory_is_the_forecast(self):
+        # a 1e6-step series at the study configs' spike density: the forecast is
+        # its own output array, with no validated copy; the bound is in float64s per step
+        n = 1_000_000
+        actual = generate_demand(_config(n=n, count_mu=n * 7 / 96, count_sigma=250.0, seed=5))
+        error = ErrorInjectionConfig(vertical_sigma=2.0, horizontal_sigma=2.0, seed=6)
+        tracemalloc.start()
+        try:
+            forecast = perturb_forecast(actual, error)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forecast.n == n and peak <= 1.1 * 8 * n
 
     def test_volume_preserved_away_from_boundaries(self):
         rng = np.random.default_rng(3)

@@ -74,22 +74,21 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     for workload in tracing.STUDIES:
         values, unmeasured = tracing.layer_metrics(tracer, workload, [1])
         assert unmeasured == {}, workload
-    # run 1 holds both studies; one seed call per series and one per (series, level) block
-    calls = 3 * (1 + len(reliability.variance_levels)) + 3 * (1 + len(cost_validity.variance_levels))
-    assert values["experiments.derive_seed.calls"] == calls
+    # run 1 holds both studies; a cell is one series and all of its (level,
+    # forecast) rows: one seed call for its demand and one for its forecasts
+    cells = 3 + 3
+    assert values["experiments.derive_seed.calls"] == 2 * cells
     # one perturb_forecast call per (series, level) block
     blocks = 3 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
     assert values["simulate.perturb_forecast.calls"] == blocks == 21
     cost_rows = 3 * 4 * len(cost_validity.variance_levels)
     assert values["warehouse.stock_cost.calls"] == cost_rows
-    # each (series, level) block is one (k, n) pair, scored by one call per metric;
-    # a pair per forecast is built only for the warehouse oracle
-    reliability_blocks = 3 * len(reliability.variance_levels)
-    cost_blocks = 3 * len(cost_validity.variance_levels)
-    assert values["series.EvaluationPair.calls"] == reliability_blocks + cost_blocks + cost_rows == 45
-    assert values["metrics.compute_metric.calls"] == (
-        reliability_blocks * len(reliability.metrics) + cost_blocks * len(cost_validity.metrics))
-    assert values["spec.spec_fast.calls"] == reliability_blocks + cost_blocks
+    # a cell of 4 forecasts per level at n = 96 is one batch, one (rows, n) pair
+    # scored by one call per metric; a pair per forecast is built only for the
+    # warehouse oracle
+    assert values["series.EvaluationPair.calls"] == cells + cost_rows == 30
+    assert values["metrics.compute_metric.calls"] == 3 * len(reliability.metrics) + 3 * len(cost_validity.metrics)
+    assert values["spec.spec_fast.calls"] == cells
 
 
 def _study(name: str, configs_dir):
