@@ -6,7 +6,10 @@ each runner only says which cells to visit and how to reduce the scores.
 Every runner is a pure function of (config, seed): per-task generator seeds
 are those of numpy ``SeedSequence`` spawn keys (:func:`derive_seed`), tasks
 are evaluated in a fixed order, and aggregation uses compensated summation,
-so rerunning a config reproduces its report byte for byte.
+so rerunning a config reproduces its report byte for byte. A series'
+forecasts each draw from ``default_rng`` of their own key's seed, and
+:func:`_streams` seeds all of them in one pass of :func:`_generate_state`,
+the one port of ``SeedSequence``'s mixing.
 
 Desk-scale defaults (hundreds of series rather than thousands) are chosen so
 a full study finishes in seconds while keeping Monte-Carlo noise well inside
@@ -60,12 +63,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's ``hashmix`` of one word: the mixed word and the next constant.
-
-    ``value`` is an int or a uint64 array of uint32 words. The constant
-    depends only on how many words were mixed before it, never on their
-    values, so one array carries many keys through the same steps.
-    """
+    """SeedSequence's ``hashmix`` of one word: the mixed word and the next constant."""
     value = value ^ const
     const = const * mult & _MASK32
     value = value * const & _MASK32
@@ -77,52 +75,66 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _state_words(pool: list, count: int) -> list:
-    """The first ``count`` uint32 words of SeedSequence's ``generate_state``, cycling the pool."""
+def _generate_state(entropy: list, count: int) -> list:
+    """SeedSequence's ``mix_entropy`` of ``entropy``, at least four words, then
+    the first ``count`` uint32 words of its ``generate_state``, low word first.
+
+    A word is an int or a uint64 array of uint32 values. The hash constants
+    depend only on how many words were mixed before, never on their values,
+    so the arrays broadcast and one pass carries every combination of them.
+    """
+    pool, const = [], _INIT_A
+    for word in entropy[:4]:
+        mixed, const = _hashmix(word, const)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in entropy[4:]:
+        for dst in range(4):
+            mixed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], mixed)
     words, const = [], _INIT_B
     for dst in range(count):
-        word, const = _hashmix(pool[dst % len(pool)], const, _MULT_B)
+        word, const = _hashmix(pool[dst % 4], const, _MULT_B)
         words.append(word)
     return words
 
 
-def derive_seed(root: int, *key: int | np.ndarray) -> int | list[int]:
+def _words(value: int) -> list[int]:
+    """The uint32 words of a non-negative int, low word first, as SeedSequence splits it."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def derive_seed(root: int, *key: int) -> int:
     """Deterministic substream seed: ``SeedSequence(root, spawn_key=key)``'s first uint64.
 
     ``root`` must be a non-negative int (numpy draws fresh entropy for None).
-    Trailing key elements may be 1-d integer arrays (each value below 2**32):
-    they stand for one key per combination of their values, and the list of
-    those keys' seeds is returned, flat, the last array varying fastest.
-    numpy mixes the pool of the root and the int key prefix, and each array's
-    key word is folded in here for all its values in one pass. Parallel or
-    out-of-order evaluation must use these seeds, not one sequential stream.
+    Parallel or out-of-order evaluation must use these seeds, not one
+    sequential stream.
     """
-    split = len(key)
-    while split and isinstance(key[split - 1], np.ndarray):
-        split -= 1
-    if split == len(key):
-        return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
-    prefix, arrays = key[:split], key[split:]
-    for values in arrays:
-        if values.ndim != 1 or values.dtype.kind not in "iu":
-            raise ValueError(f"a key array must be 1-d of integers, got {values.dtype} {values.shape}")
-        if values.size and (values.min() < 0 or values.max() > _MASK32):
-            raise ValueError("key array values must lie in [0, 2**32)")
-    pool = np.random.SeedSequence(root, spawn_key=prefix).pool.tolist()
-    # numpy hashmixed each uint32 entropy word (the root's, padded to the pool
-    # size, then at least one per prefix element) once per pool word, which
-    # fixes the next constant.
-    words = max(len(pool), (int(root).bit_length() + 31) // 32)
-    words += sum((int(part).bit_length() + 31) // 32 or 1 for part in prefix)
-    const = _INIT_A * pow(_MULT_A, len(pool) * words, _MASK32 + 1) & _MASK32
-    for axis, values in enumerate(arrays):
-        # each array on its own axis, so the pool broadcasts to every combination
-        word = values.astype(np.uint64).reshape([-1 if a == axis else 1 for a in range(len(arrays))])
-        for dst in range(len(pool)):
-            mixed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], mixed)
-    low, high = _state_words(pool, 2)  # generate_state(1, uint64)
-    return (low | high << 32).ravel().tolist()
+    return int(np.random.SeedSequence(root, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def _streams(root: int, prefix: tuple[int, ...], last: list[int], count: int) -> np.ndarray:
+    """The ``PCG64`` seed words of ``default_rng(derive_seed(root, *prefix, l, f))``
+    for each ``l`` in ``last`` (each below 2**32) and ``f`` in ``range(count)``:
+    a (rows, 4) uint64 array, ``f`` varying fastest.
+
+    One :func:`_generate_state` pass takes every row's derived seed, two
+    words, and one more on those seeds what ``SeedSequence(seed)`` hands
+    ``PCG64``: ``generate_state(4, uint64)``. Each row is contiguous, as
+    ``PCG64`` reads it.
+    """
+    entropy = _words(root)
+    entropy += [0] * (4 - len(entropy))  # under a spawn key the root's words fill the pool
+    for part in prefix:
+        entropy += _words(part)
+    entropy += [np.array(last, dtype=np.uint64)[:, None], np.arange(count, dtype=np.uint64)]
+    state = _generate_state([*_generate_state(entropy, 2), 0, 0], 8)
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1).reshape(-1, 4)
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -133,32 +145,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
-
-
-def _reset_streams(seeds: list[int]):
-    """Yield a new ``Generator`` per seed, in the state ``default_rng(seed)`` starts in.
-
-    ``SeedSequence(seed).generate_state(4, uint64)`` is taken for every seed
-    in one numpy pass, and numpy's ``PCG64`` seeds itself from each seed's
-    four words, which spares a ``SeedSequence`` per seed. ``PCG64`` reads
-    the words' buffer as it is, so each seed's words are one contiguous row.
-    """
-    words = np.array(seeds, dtype=np.uint64)
-    # A seed below 2**64 is one or two uint32 entropy words; a missing word
-    # mixes as 0, and the pool holds four.
-    pool, const = [], _INIT_A
-    for word in (words & _MASK32, words >> 32, 0, 0):
-        mixed, const = _hashmix(word, const)
-        pool.append(mixed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    out = _state_words(pool, 8)  # generate_state(4, uint64), low word first
-    states = np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
-    for state in states:
-        yield np.random.Generator(np.random.PCG64(_Words(state)))
 
 
 def _numbers(name: str, values: Iterable[float]) -> tuple[float, ...]:
@@ -366,10 +352,10 @@ def _pair_stream(
     ``cells`` yields ``(demand key, forecast key prefix, [(level index, mu,
     sigma, key element)])``: one demand series, drawn from the seed at the
     demand key, and a block of forecasts per level, forecast ``f`` drawn
-    from the seed at ``prefix + (key element, f)``. A cell's forecast seeds
-    come from one :func:`derive_seed` call. A batch, at least one row, takes
-    its streams from one :func:`_reset_streams` pass and the rows of each of
-    its blocks from one :func:`perturb_forecast` call; it is one
+    from ``default_rng(derive_seed(seed, *prefix, key element, f))``. A
+    cell's streams are seeded in one :func:`_streams` pass. A batch, at least
+    one row, builds a generator per row from the row's words and takes the
+    rows of each of its blocks from one :func:`perturb_forecast` call; it is one
     :class:`EvaluationPair`, scored in one :func:`compute_metric` call per
     metric, and a row's score does not depend on its batch. Only the
     warehouse oracle walks one forecast at a time. Each block is yielded as
@@ -382,15 +368,15 @@ def _pair_stream(
     for demand_key, prefix, blocks in cells:
         actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
         errors = [_error_config(direction, mu, sigma) for _, mu, sigma, _ in blocks]
-        seeds = derive_seed(config.seed, *prefix, np.array([key for *_, key in blocks]), np.arange(k))
+        words = _streams(config.seed, prefix, [key for *_, key in blocks], k)
         size = max(1, _BATCH_VALUES // actual.n)
         values: dict[str, list[float]] = {m: [] for m in bad}
         costs: list[float] = []
         # Values past the float range count as non-finite, without numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(seeds), size):
-                hi = min(lo + size, len(seeds))
-                streams = _reset_streams(seeds[lo:hi])
+            for lo in range(0, len(words), size):
+                hi = min(lo + size, len(words))
+                streams = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words[lo:hi])
                 edges = [lo, *range(lo // k * k + k, hi, k), hi]  # where the batch's blocks meet
                 pieces = [perturb_forecast(actual, errors[a // k], islice(streams, b - a))
                           for a, b in zip(edges, edges[1:])]

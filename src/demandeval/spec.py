@@ -273,9 +273,10 @@ def _fifo_charges(
     return charges[0, 0], charges[1, 0], total
 
 
-def _row_total(y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> list[float]:
-    """The total of :func:`_fifo_charges`, as a 1-list, without its per-step charges."""
-    return _block_totals(y, f[None], alpha1, alpha2).tolist()
+def _row_total(y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
+    """The total of :func:`_fifo_charges`, without its per-step charges."""
+    [total] = _block_totals(y, f[None], alpha1, alpha2).tolist()
+    return total
 
 
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
@@ -295,16 +296,16 @@ def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
 
 
 def walk_mean(walk, y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
-    """The total ``walk(y, f, alpha1, alpha2)`` returns last, over n. Past the float range it is
+    """The total ``walk(y, f, alpha1, alpha2)`` returns, over n. Past the float range it is
     :func:`rescued` on the pair, then, if still past it, on the weights; never both in one pass."""
     n = y.size
-    mean = walk(y, f, alpha1, alpha2)[-1] / n
+    mean = walk(y, f, alpha1, alpha2) / n
     if math.isfinite(mean):
         return mean
 
     def weighted(weights: np.ndarray) -> float:
         a1, a2 = weights.tolist()
-        return rescued(lambda yf: walk(*yf, a1, a2)[-1] / n, np.stack((y, f)))
+        return rescued(lambda yf: walk(*yf, a1, a2) / n, np.stack((y, f)))
     return rescued(weighted, np.array([alpha1, alpha2], dtype=float))
 
 
@@ -361,12 +362,18 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
     ``spec_value`` is :func:`spec_fast`'s score; the weighted per-step arrays
     sum to ``n * spec_value`` up to rounding. The unit-period aggregates let
     any other weighting be evaluated without rescoring.
+
+    Unscaled, the weighted arrays are the weighted walk's own charges, so
+    their sum in step order over n is the score, bit for bit, wherever it is
+    finite; elsewhere :func:`spec_fast` takes its rescued pass.
     """
     opp_units, stock_units, k = _unit_charges(pair)
-    with np.errstate(over="ignore"):  # a cost past the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a cost past the float range is inf
         per_t_opp = np.ldexp(params.alpha1 * opp_units, k)
         per_t_stock = np.ldexp(params.alpha2 * stock_units, k)
         opp_total, stock_total = np.ldexp([opp_units.sum(), stock_units.sum()], k).tolist()
+        charge = per_t_opp + per_t_stock  # summed in place, so it holds one n-array
+        total = np.add.accumulate(charge, out=charge)[-1].item() if k == 0 else math.inf
     per_t_opp.setflags(write=False)
     per_t_stock.setflags(write=False)
     return CostBreakdown(
@@ -374,7 +381,7 @@ def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) ->
         per_t_stock=per_t_stock,
         opp_unit_periods=opp_total,
         stock_unit_periods=stock_total,
-        spec_value=spec_fast(pair, params),
+        spec_value=total / pair.n if math.isfinite(total) else spec_fast(pair, params),
         params=params,
     )
 

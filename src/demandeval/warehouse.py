@@ -36,8 +36,8 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     return walk_mean(_warehouse_total, *one_forecast(pair), params.alpha1, params.alpha2)
 
 
-def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> tuple[float]:
-    """Summed charges of the walk over demand ``y`` and deliveries ``f``, as a 1-tuple."""
+def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:
+    """Summed charges of the walk over demand ``y`` and deliveries ``f``."""
     lots: deque[list[float]] = deque()  # [arrival_step, qty] on the shelf
     backorders: deque[list[float]] = deque()  # [order_step, qty] owed
 
@@ -70,4 +70,4 @@ def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> tupl
             total += a2 * qty * (step - arrival_step + 1)
         for order_step, qty in backorders:
             total += a1 * qty * (step - order_step + 1)
-    return (total,)
+    return total

@@ -86,73 +86,32 @@ class TestSeedDerivation:
                     key += tuple(int(k) for k in rng.integers(0, 2**63, size=size % 2))
                     assert derive_seed(root, *key) == self._numpy_seed(root, *key), (root, key)
 
-    def test_vector_form_matches_seed_sequence(self):
+    def test_streams_seed_default_rng_of_each_key(self):
         rng = np.random.default_rng(12)
-        values = np.array([0, 1, 2, 49, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=6)])
-        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130]
-        roots += [int(r) for r in rng.integers(0, 2**63, size=4)]
-        prefixes = [(), (0,), (1, 5), (1, 199, 4), (2**32, 3, 2**64 - 1), (7, 2**70 + 5)]
+        last = [0, 1, 49, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=2).tolist()]
+        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130, int(rng.integers(0, 2**63))]
+        prefixes = [(), (1,), (1, 199), (2**32, 3, 2**64 - 1), (7, 2**70 + 5), (2**64 - 1,)]
+        count = 3
         for root in roots:
             for prefix in prefixes:
-                for dtype in (np.int64, np.uint32, np.uint64):
-                    got = derive_seed(root, *prefix, values.astype(dtype))
-                    want = [self._numpy_seed(root, *prefix, int(v)) for v in values]
-                    assert got == want, (root, prefix, dtype)
-                    assert all(type(seed) is int for seed in got)
-        assert derive_seed(3, 1, np.arange(0)) == []
+                words = experiments._streams(root, prefix, last, count)
+                assert words.shape == (len(last) * count, 4) and words.dtype == np.uint64
+                keys = [(l, f) for l in last for f in range(count)]
+                for key, row in zip(keys, words, strict=True):
+                    stream = np.random.Generator(np.random.PCG64(experiments._Words(row)))
+                    want = np.random.default_rng(derive_seed(root, *prefix, *key))
+                    assert stream.bit_generator.state == want.bit_generator.state, (root, prefix, key)
+                    assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist()
+                    # an odd count of 32-bit draws leaves half a word buffered
+                    assert stream.integers(2**32, size=3, dtype=np.uint32).tolist() == (
+                        want.integers(2**32, size=3, dtype=np.uint32).tolist()
+                    )
+                    assert stream.standard_normal() == want.standard_normal()
 
-    def test_two_array_form_is_the_outer_product(self):
-        rng = np.random.default_rng(14)
-        levels = np.array([0, 4, 2**32 - 1, *rng.integers(0, 2**32, size=2)])
-        forecasts = np.array([0, 1, 49, 2**31, 2**32 - 1])
-        roots = [0, 2**32 - 1, 2**64 - 1, 2**130, int(rng.integers(0, 2**63))]
-        prefixes = [(), (1,), (1, 199), (2**32, 2**64 - 1)]
-        for root in roots:
-            for prefix in prefixes:
-                for dtype in (np.int64, np.uint32, np.uint64):
-                    got = derive_seed(root, *prefix, levels.astype(dtype), forecasts.astype(dtype))
-                    want = [self._numpy_seed(root, *prefix, int(l), int(f))
-                            for l in levels for f in forecasts]
-                    assert got == want, (root, prefix, dtype)
-                    assert all(type(seed) is int for seed in got)
-        for empty in ((np.arange(0), np.arange(3)), (np.arange(3), np.arange(0)),
-                      (np.arange(0), np.arange(0))):
-            assert derive_seed(3, 1, *empty) == []
-
-    def test_reset_streams_match_default_rng(self):
-        rng = np.random.default_rng(13)
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
-        seeds += rng.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
-        for seed, stream in zip(seeds, experiments._reset_streams(seeds), strict=True):
-            want = np.random.default_rng(seed)
-            assert stream.bit_generator.state == want.bit_generator.state, seed
-            assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist(), seed
-            # an odd count of 32-bit draws leaves half a word buffered for the next reset to clear
-            assert stream.integers(2**32, size=3, dtype=np.uint32).tolist() == (
-                want.integers(2**32, size=3, dtype=np.uint32).tolist()
-            ), seed
-
-    def test_reset_streams_are_independent_generators(self):
-        seeds = [0, 1, 2**32, 2**64 - 1, 987654321]
-        streams = list(experiments._reset_streams(seeds))
-        for seed, stream in reversed(list(zip(seeds, streams, strict=True))):
-            want = np.random.default_rng(seed)
-            assert stream.bit_generator.state == want.bit_generator.state, seed
-            assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist(), seed
-
-    @pytest.mark.parametrize("values", [
-        np.array([0, 2**32]),
-        np.array([-1, 0]),
-        np.arange(4).reshape(2, 2),
-        np.array(3),
-        np.array([0.0, 1.0]),
-    ])
-    def test_vector_form_rejects_other_arrays(self, values):
-        with pytest.raises(ValueError):
-            derive_seed(1, 2, values)
-        for key in ((values, np.arange(3)), (np.arange(3), values)):
-            with pytest.raises(ValueError):
-                derive_seed(1, 2, *key)
+    def test_streams_of_no_keys_are_empty(self):
+        for last, count in (([], 3), ([0, 1], 0), ([], 0)):
+            words = experiments._streams(3, (1,), last, count)
+            assert words.shape == (0, 4) and words.dtype == np.uint64
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from demandeval import (
     spec_fast,
     spec_literal,
 )
+from demandeval import spec
 from demandeval.errors import InvalidConfig
 from demandeval.spec import MAX_GRID_SIZE
 from conftest import ACTUAL, random_pair
@@ -111,6 +112,18 @@ class TestDecompose:
             b = spec_decompose(pair)
             both = (b.per_t_opportunity > 0) & (b.per_t_stock > 0)
             assert not both.any()
+
+    def test_finite_pair_walks_the_kernel_once(self, model_b_pair, monkeypatch):
+        calls = []
+        block_totals = spec._block_totals
+
+        def counted(*args):
+            calls.append(args)
+            return block_totals(*args)
+
+        monkeypatch.setattr(spec, "_block_totals", counted)
+        spec_decompose(model_b_pair, SpecParams(0.4, 0.6))
+        assert len(calls) == 1
 
 
 class TestFastEvaluator:

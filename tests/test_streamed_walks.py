@@ -216,8 +216,8 @@ def long_pairs():
 
 def test_kernel_matches_its_list_twin(pairs, long_pairs, monkeypatch):
     got = [_kernel_results(pair) for pair in pairs + long_pairs]
-    # the score reads the total, the last item of either twin, and the split and sweep the charges
-    monkeypatch.setattr(spec, "_row_total", _list_fifo_charges)
+    # the score reads the twin's total, and the split and sweep its charges
+    monkeypatch.setattr(spec, "_row_total", lambda *args: _list_fifo_charges(*args)[2])
     monkeypatch.setattr(spec, "_fifo_charges", _list_fifo_charges)
     want = [_kernel_results(pair) for pair in pairs + long_pairs]
     for pair, got_results, want_results in zip(pairs + long_pairs, got, want):

@@ -75,9 +75,10 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
         values, unmeasured = tracing.layer_metrics(tracer, workload, [1])
         assert unmeasured == {}, workload
     # run 1 holds both studies; a cell is one series and all of its (level,
-    # forecast) rows: one seed call for its demand and one for its forecasts
+    # forecast) rows: one seed call for its demand, and its forecasts' streams
+    # are seeded without one
     cells = 3 + 3
-    assert values["experiments.derive_seed.calls"] == 2 * cells
+    assert values["experiments.derive_seed.calls"] == cells
     # one perturb_forecast call per (series, level) block
     blocks = 3 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
     assert values["simulate.perturb_forecast.calls"] == blocks == 21
