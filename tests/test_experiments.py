@@ -86,32 +86,35 @@ class TestSeedDerivation:
                     key += tuple(int(k) for k in rng.integers(0, 2**63, size=size % 2))
                     assert derive_seed(root, *key) == self._numpy_seed(root, *key), (root, key)
 
-    def test_streams_seed_default_rng_of_each_key(self):
-        rng = np.random.default_rng(12)
-        last = [0, 1, 49, 2**31, 2**32 - 1, *rng.integers(0, 2**32, size=2).tolist()]
-        roots = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130, int(rng.integers(0, 2**63))]
+    # rows of _streams: several-word roots and prefix elements, ``last`` up to 2**32 - 1
+    _rng = np.random.default_rng(12)
+    _last = [0, 1, 49, 2**31, 2**32 - 1, *_rng.integers(0, 2**32, size=2).tolist()]
+    _roots = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130, int(_rng.integers(0, 2**63))]
+
+    @pytest.mark.parametrize("root", _roots)
+    def test_streams_seed_default_rng_of_each_key(self, root):
+        last = self._last
         prefixes = [(), (1,), (1, 199), (2**32, 3, 2**64 - 1), (7, 2**70 + 5), (2**64 - 1,)]
         count = 3
-        for root in roots:
-            for prefix in prefixes:
-                words = experiments._streams(root, prefix, last, count)
-                assert words.shape == (len(last) * count, 4) and words.dtype == np.uint64
-                keys = [(l, f) for l in last for f in range(count)]
-                for key, row in zip(keys, words, strict=True):
-                    stream = np.random.Generator(np.random.PCG64(experiments._Words(row)))
-                    want = np.random.default_rng(derive_seed(root, *prefix, *key))
-                    assert stream.bit_generator.state == want.bit_generator.state, (root, prefix, key)
-                    assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist()
-                    # an odd count of 32-bit draws leaves half a word buffered
-                    assert stream.integers(2**32, size=3, dtype=np.uint32).tolist() == (
-                        want.integers(2**32, size=3, dtype=np.uint32).tolist()
-                    )
-                    assert stream.standard_normal() == want.standard_normal()
+        for prefix in prefixes:
+            words = experiments._streams(root, prefix, last, count)
+            assert words.shape == (len(last) * count, 4) and words.dtype == np.uint64
+            keys = [(l, f) for l in last for f in range(count)]
+            for key, row in zip(keys, words, strict=True):
+                stream = np.random.Generator(np.random.PCG64(experiments._Words(row)))
+                want = np.random.default_rng(derive_seed(root, *prefix, *key))
+                assert stream.bit_generator.state == want.bit_generator.state, (root, prefix, key)
+                assert stream.standard_normal(5).tolist() == want.standard_normal(5).tolist()
+                # an odd count of 32-bit draws leaves half a word buffered
+                assert stream.integers(2**32, size=3, dtype=np.uint32).tolist() == (
+                    want.integers(2**32, size=3, dtype=np.uint32).tolist()
+                )
+                assert stream.standard_normal() == want.standard_normal()
 
-    def test_streams_of_no_keys_are_empty(self):
-        for last, count in (([], 3), ([0, 1], 0), ([], 0)):
-            words = experiments._streams(3, (1,), last, count)
-            assert words.shape == (0, 4) and words.dtype == np.uint64
+    @pytest.mark.parametrize("last, count", [([], 3), ([0, 1], 0), ([], 0)])
+    def test_streams_of_no_keys_are_empty(self, last, count):
+        words = experiments._streams(3, (1,), last, count)
+        assert words.shape == (0, 4) and words.dtype == np.uint64
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
