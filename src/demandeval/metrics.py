@@ -149,14 +149,26 @@ def _smape(y: np.ndarray, f: np.ndarray) -> float:
 def _smape_rows(y: np.ndarray, block: np.ndarray) -> np.ndarray:
     """smape of each row, NaN where :func:`_smape` must take the row: no volume,
     or a denominator past the float range. The terms are taken for the whole
-    block, but each row's mean is over its kept terms alone, as a ``where=``
-    mean would sum in another order."""
+    block, and the rows of each count c of kept terms are summed as one
+    C-contiguous (rows, c) array, which sums each row as its 1-d call does; a
+    ``where=`` mean would sum in another order."""
     denom = y + block
     keep = denom > 0
-    with np.errstate(invalid="ignore"):  # 0 / 0 at the steps keep drops, and in a row without any
-        terms = np.abs(block - y) / denom
-        values = np.array([np.add.reduce(t[m]) for t, m in zip(terms, keep)]) / keep.sum(axis=1)
-    values[np.isinf(denom).any(axis=1)] = math.nan
+    groups: dict[int, list[int]] = {}  # the rows of each count of kept terms
+    for row, c in enumerate(keep.sum(axis=1).tolist()):
+        groups.setdefault(c, []).append(row)
+    order = [row for _, rows in sorted(groups.items()) for row in rows]
+    past = np.isinf(denom).any(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the steps keep drops
+        terms = np.divide(np.abs(block - y), denom, out=denom)
+    kept = terms[order][keep[order]]  # each row's kept terms, the rows in count order
+    values = np.full(len(order), math.nan)  # a row without volume stays NaN
+    start = 0
+    for c, rows in sorted(groups.items()):
+        if c:
+            values[rows] = np.add.reduce(kept[start:start + len(rows) * c].reshape(-1, c), axis=1) / c
+        start += len(rows) * c
+    values[past] = math.nan
     return values
 
 

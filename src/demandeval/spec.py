@@ -12,11 +12,12 @@ cost), and the grand total is divided by the series length.
 One production kernel computes it: an O(n) FIFO walk that nets deliveries
 against demand in Python at the steps with volume only, and charges every
 step with numpy. It takes a (k, n) block of forecasts, one forecast being the
-block of one row, ``_CHUNK`` steps at a time: each row's walk nets the chunk,
-and the charges of the whole chunk are filled at once, into two float arrays
-where the per-step split is asked for. Each row's charges are summed in step
-order, so a row's score has the same bits in any block, and no Python object
-is kept per step.
+block of one row, ``_CHUNK`` steps at a time. One pass nets the chunk of
+every row, each row's walk keeping a single queue of open units, owed or
+held, and one signed pair per netted step; the charges of the whole chunk are
+filled from those pairs at once, into two float arrays where the per-step
+split is asked for. Each row's charges are summed in step order, so a row's
+score has the same bits in any block, and no Python object is kept per step.
 :func:`spec_fast` (the score, also of a block),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
 (the alpha trade-off line) are all derived from it. :func:`spec_literal` is
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -146,62 +148,72 @@ def spec_literal(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> f
 _CHUNK = 1024  # steps per chunk: a block's SPEC holds a few (k, _CHUNK) arrays at a time
 
 
-def _netting():
-    """One row's FIFO walk, sent the chunks of the row in turn. Still-open
-    demand and deliveries are queued and netted against each other at the
-    steps with volume only: between two of them at least one queue is empty
-    and nothing changes. A queue's age-weighted charge at step t is
-    (t+1)*Q - QT, from its running aggregates Q = sum(q) and
-    QT = sum(q * origin), and only a side with Q > 0 is charged.
+def _net(states, table, steps, ys, fs, ends):
+    """Net one chunk of every row of a block. Row i nets ``steps[s:ends[i]]``,
+    1-based, s = ``ends[i-1]`` or 0, with the demand ``ys`` and the delivery
+    ``fs`` at each; ``states[i]`` carries its walk between chunks.
 
-    For each chunk it is sent ``(table, steps, ys, fs)``: the chunk's table,
-    and the row's steps to net there, 1-based, with the demand and the
-    delivery at each. After each step it appends the aggregates charged from
-    then on to the table, as a row of owed_q, held_q, owed_qt, held_qt. A
-    row is owed, held or zeros by Q > 0, not by which queue is open, since an
-    open queue can hold a float residue Q <= 0 that is not charged.
+    A walk queues the open units of one side, demand owed or deliveries
+    held, as ``[origin, qty]``: after netting at most one side is open, and
+    between two steps with volume nothing changes. Its charge at step t is
+    (t+1)*Q - QT, from the aggregates Q = sum(qty) and QT = sum(qty * origin).
+    At a step, volume on the open side is queued first; the other side's
+    volume z starts at r = z, with aggregates z and z*t, nets against the
+    head, and opens its side with what is left when the queue runs out. An
+    empty side's aggregates are exactly 0.0, so these are the operations of
+    a walk that queues both sides.
+
+    After each step it appends the signed pair charged from then on to
+    ``table``: (Q, QT) when owed, (-Q, QT) when held, zeros when Q <= 0, as
+    an open queue can hold a float residue Q <= 0 that is not charged.
     """
-    owed: deque[list[float]] = deque()  # [origin, qty] demand not yet covered
-    held: deque[list[float]] = deque()  # [origin, qty] deliveries not yet consumed
-    owed_q = owed_qt = 0.0
-    held_q = held_qt = 0.0
-    while True:
-        table, steps, ys, fs = yield
-        for t, yt, ft in zip(steps, ys, fs):
-            if yt > 0.0:
-                owed.append([t, yt])
-                owed_q += yt
-                owed_qt += yt * t
-            if ft > 0.0:
-                held.append([t, ft])
-                held_q += ft
-                held_qt += ft * t
-            while owed and held:
-                d = owed[0]
-                s = held[0]
-                c = d[1] if d[1] <= s[1] else s[1]
-                d[1] -= c
-                s[1] -= c
-                owed_q -= c
-                owed_qt -= c * d[0]
-                held_q -= c
-                held_qt -= c * s[0]
-                if d[1] <= 0.0:
-                    owed.popleft()
-                if s[1] <= 0.0:
-                    held.popleft()
-            # keep aggregates exactly zero when a queue empties, so float residue
-            # from the subtractions above cannot leak into the charge
-            if not owed:
-                owed_q = owed_qt = 0.0
-            if not held:
-                held_q = held_qt = 0.0
-            if owed_q > 0.0:
-                table += (owed_q, 0.0, owed_qt, 0.0)
-            elif held_q > 0.0:
-                table += (0.0, held_q, 0.0, held_qt)
+    steps = zip(steps, ys, fs)
+    append = table.append
+    start = 0
+    for i, end in enumerate(ends):
+        queue, owed, q, qt = states[i]
+        for t, yt, ft in islice(steps, end - start):
+            if not queue:  # the side with volume opens, demand first
+                owed = yt > 0.0
+            if owed:
+                v, z = yt, ft
             else:
-                table += (0.0, 0.0, 0.0, 0.0)
+                v, z = ft, yt
+            if v > 0.0:
+                queue.append([t, v])
+                q += v
+                qt += v * t
+            if z > 0.0:  # nets against the queue: it was open, or holds v
+                r, zqt = z, z * t
+                while True:
+                    head = queue[0]
+                    c = head[1]
+                    if c > r:  # z closes
+                        head[1] = c - r
+                        q -= r
+                        qt -= r * head[0]
+                        break
+                    queue.popleft()  # the head closes
+                    r -= c
+                    q -= c
+                    qt -= c * head[0]
+                    zqt -= c * t
+                    if r <= 0.0 or not queue:
+                        break
+                if not queue:
+                    if r > 0.0:  # what is left of z opens its side
+                        queue.append([t, r])
+                        owed, q, qt = not owed, r, zqt
+                    else:
+                        q = qt = 0.0
+            if q > 0.0:
+                append(q if owed else -q)
+                append(qt)
+            else:
+                append(0.0)
+                append(0.0)
+        states[i] = queue, owed, q, qt
+        start = end
 
 
 def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float,
@@ -210,22 +222,18 @@ def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float
     deliveries against demand ``y``; given a (2, k, n) ``charges``, the
     weighted owed and held charge at each step is written into it.
 
-    The block is taken ``_CHUNK`` steps at a time. Each row's
-    :func:`_netting` walk nets the chunk's first step and the row's volume
-    steps into one table for the chunk, so every step's row of the table is
-    picked by the count of netted steps so far. Each charge is
-    ``alpha * ((t + 1) * Q - QT)`` on both sides; the uncharged side's row is
-    Q = QT = 0, whose charge +0.0 leaves the sum of the two unchanged. Each
+    The block is taken ``_CHUNK`` steps at a time. One :func:`_net` call nets
+    the chunk's first step and each row's volume steps into one table of
+    signed pairs, so every step's pair is picked by the count of netted steps
+    so far. Each charge is ``alpha * ((t + 1) * |Q| - QT)``, alpha2 where
+    Q < 0 and alpha1 elsewhere; ``charges`` holds 0.0 on the other side. Each
     row's running total is folded into its chunk's first charge and summed
     with ``add.accumulate``, which sums in sequence, so a row's total has the
     same bits at any chunking and in any block. Besides ``charges``, one
     chunk's temporaries are held: a few arrays of k by ``_CHUNK``.
     """
     k, n = block.shape
-    walks = [_netting() for _ in range(k)]
-    for walk in walks:
-        next(walk)
-    weights = np.array([alpha1, alpha2], dtype=float)[:, None, None]
+    states = [(deque(), True, 0.0, 0.0) for _ in range(k)]
     totals = np.zeros(k)
     # numpy warns where Python floats overflow to inf or give nan silently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,29 +241,27 @@ def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float
             hi = min(lo + _CHUNK, n)
             yc, bc = y[lo:hi], block[:, lo:hi]
             vm = np.logical_or(yc, bc)  # the series are non-negative: volume where either is > 0
-            # netting the first step appends the aggregates the chunk starts with;
-            # a step without volume leaves the queues as they are
+            # netting the first step appends the pair the chunk starts with;
+            # a step without volume leaves the queue as it is
             vm[:, 0] = True
             index = vm.cumsum().reshape(k, -1)  # counts of steps to net, all earlier rows' included
             flat = vm.ravel().nonzero()[0]
             at = flat % (hi - lo)
             steps, ys, fs = (at + (lo + 1)).tolist(), yc[at].tolist(), bc.ravel()[flat].tolist()
-            table = [0.0] * 4  # picked by no step: every count is at least 1
-            start = 0
-            for walk, end in zip(walks, index[:, -1].tolist()):
-                walk.send((table, steps[start:end], ys[start:end], fs[start:end]))
-                start = end
-            t1 = np.arange(lo + 2, hi + 2, dtype=float)  # t + 1 at 1-based steps lo+1 .. hi
-            filled = np.array(table, dtype=float).reshape(-1, 4).T.take(index, axis=1)
-            q, qt = filled[:2], filled[2:]
-            out = q if charges is None else charges[:, :, lo:hi]
-            np.multiply(t1, q, out=q)
+            table = [0.0, 0.0]  # picked by no step: every count is at least 1
+            _net(states, table, steps, ys, fs, index[:, -1].tolist())
+            q, qt = np.array(table, dtype=float).reshape(-1, 2).T.take(index, axis=1)
+            held = q < 0.0
+            np.abs(q, out=q)
+            np.multiply(np.arange(lo + 2, hi + 2, dtype=float), q, out=q)  # t + 1 at 1-based steps
             np.subtract(q, qt, out=q)
-            np.multiply(weights, q, out=out)
-            charge = np.add(out[0], out[1])
+            if charges is not None:
+                charges[:, :, lo:hi] = np.where(held, 0.0, q) * alpha1, np.where(held, q, 0.0) * alpha2
+            charge = np.multiply(alpha1, q, out=qt)
+            np.multiply(alpha2, q, out=charge, where=held)
             charge[:, 0] += totals
-            totals = np.add.accumulate(charge, axis=1, out=charge)[:, -1]
-            del filled, q, qt, out  # free this chunk's take before the next chunk makes its own
+            totals = np.add.accumulate(charge, axis=1, out=charge)[:, -1].copy()
+            del q, qt, charge  # free this chunk's take before the next chunk makes its own
     return totals
 
 

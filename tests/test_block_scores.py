@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast
-from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric
+from demandeval import metrics
+from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric, smape
 from demandeval.series import DemandSeries, ForecastSeries
 from test_streamed_walks import WEIGHTS, _long_pairs, _pairs, _same
 
@@ -138,3 +139,24 @@ def test_compute_metric_wraps_the_block():
     assert isinstance(value, ExtendedValue) and value.value.shape == (14,)
     assert not value.is_finite  # the huge rows' costs pass the float range
     assert compute_metric("mae", _block([1.0, 2.0], [[1.0, 2.0], [2.0, 1.0]])).is_finite
+
+
+@pytest.mark.parametrize("support", [0, 1, 7, 127])
+def test_smape_rows_of_every_kept_count(support):
+    # two rows keep each count of terms, on either side of numpy's pairwise-sum
+    # blocks, the rows out of count order; the actual has volume at its first
+    # ``support`` steps, which every row keeps, so only support 0 has rows
+    # without volume, and the other terms of a row are 1
+    counts = [c for c in (0, 1, 7, 8, 9, 16, 127, 128, 129, 300) if c >= support] * 2
+    rng = np.random.default_rng(support)
+    n = 300
+    actual = np.zeros(n)
+    actual[:support] = rng.uniform(0.1, 50, support)
+    rows = np.zeros((len(counts), n))
+    for row, c in zip(rows, counts):
+        row[:support] = rng.uniform(0, 50, support)
+        row[rng.choice(np.arange(support, n), c - support, replace=False)] = rng.uniform(0.1, 50, c - support)
+    rows = rows[rng.permutation(len(counts))]
+    want = [smape(EvaluationPair(DemandSeries(actual), ForecastSeries(row))) for row in rows]
+    assert _same(metrics._smape_rows(actual, rows), want)
+    assert _same(smape(_block(actual, rows)), want)

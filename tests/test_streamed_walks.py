@@ -35,7 +35,8 @@ from demandeval import (
     stock_cost,
 )
 from demandeval import spec
-from demandeval.series import ForecastSeries
+from demandeval.metrics import compute_metric
+from demandeval.series import DemandSeries, ForecastSeries
 
 WEIGHTS = (SpecParams(0.75, 0.25), SpecParams(1.0, 0.0), SpecParams(0.0, 1.0))
 
@@ -290,3 +291,96 @@ def test_block_peak_memory_per_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 8 * k * spec._CHUNK
+
+
+#: Pairs that take each branch of the kernel's single open queue, by name: a
+#: step with demand and a delivery while the owed side, the held side or
+#: neither is open; both heads closing at once, across steps, on one step and
+#: with a float residue left in Q; a step whose volume closes several heads
+#: and opens the other side; and an open queue whose aggregate Q is <= 0 from
+#: float residue, which later volume joins.
+QUEUE_CASES = {
+    "both-while-owed": ([5.0, 3.0, 0.0, 0.0], [0.0, 4.0, 4.0, 0.0]),
+    "both-while-held": ([0.0, 3.0, 4.0, 0.0], [5.0, 4.0, 0.0, 0.0]),
+    "both-while-none-more-demand": ([4.0, 0.0, 0.0], [3.0, 0.0, 1.0]),
+    "both-while-none-more-delivery": ([3.0, 0.0, 1.0], [4.0, 0.0, 0.0]),
+    "both-while-none-equal": ([3.0, 0.0], [3.0, 0.0]),
+    "tie-across-steps": ([2.0, 0.0, 3.0, 0.0], [0.0, 5.0, 0.0, 0.0]),
+    "tie-on-one-step-owed": ([2.0, 3.0, 0.0], [0.0, 5.0, 0.0]),
+    "tie-on-one-step-held": ([0.0, 1.0, 4.0, 0.0], [2.0, 3.0, 0.0, 0.0]),
+    "tie-with-residue": ([0.1, 0.2, 0.0, 0.0], [0.0, 0.1, 0.2, 0.0]),  # Q is 5.6e-17 at the tie
+    "closes-several-then-opens": ([0.0, 0.0, 10.0, 0.0], [2.0, 3.0, 1.0, 0.0]),
+    "residue-owed": ([0.7, 0.2, 0.1, 0.0, 2.0, 0.0], [0.0, 0.3, 0.7, 0.0, 0.0, 1.0]),
+    "residue-held": ([0.0, 0.3, 0.7, 0.0, 0.0, 1.0], [0.7, 0.2, 0.1, 0.0, 2.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("actual, forecast", QUEUE_CASES.values(), ids=QUEUE_CASES)
+def test_single_queue_matches_the_list_twin(actual, forecast, monkeypatch):
+    pair = EvaluationPair.from_values(actual, forecast)
+
+    def results():
+        splits = [spec_decompose(pair, params) for params in WEIGHTS]
+        return [*_kernel_results(pair),
+                *(array for split in splits for array in (split.per_t_opportunity, split.per_t_stock))]
+
+    got = results()
+    monkeypatch.setattr(spec, "_row_total", lambda *args: _list_fifo_charges(*args)[2])
+    monkeypatch.setattr(spec, "_fifo_charges", _list_fifo_charges)
+    want = results()
+    for g, w in zip(got, want):
+        assert _same(g, w), (g, w)
+
+
+@pytest.mark.parametrize("owed", [True, False], ids=["owed", "held"])
+def test_residue_cases_leave_an_open_queue_uncharged(owed):
+    # after three steps the walk holds a unit's residue on the named side, its Q <= 0
+    actual, forecast = QUEUE_CASES["residue-owed" if owed else "residue-held"]
+    states = [(deque(), True, 0.0, 0.0)]
+    table = []
+    spec._net(states, table, [1, 2, 3], actual[:3], forecast[:3], [3])
+    queue, side, q, _ = states[0]
+    assert queue and side == owed and q <= 0.0
+    assert table[-2:] == [0.0, 0.0]
+
+
+def test_block_rows_open_across_a_chunk_boundary():
+    # rows whose queue stays open over the boundary, owed or held, next to rows
+    # whose queue closes before it or never opens, and lumpy random rows
+    chunk = spec._CHUNK
+    n = chunk + 8
+    actual = np.zeros(n)
+    actual[[5, chunk - 2]] = 1.0, 4.0
+    rows = np.zeros((6, n))
+    rows[0, chunk + 3] = 5.0  # owed from step chunk - 1 into the next chunk
+    rows[1, [4, chunk - 3]] = 1.0, 4.0  # closed before the boundary
+    rows[2, 4] = 6.0  # held from step 5; one unit stays held to the end
+    rows[3] = actual  # nothing open
+    rng = np.random.default_rng(1416)
+    rows[4:] = rng.uniform(0.1, 50, (2, n)) * (rng.random((2, n)) < 0.1)
+    block = EvaluationPair(DemandSeries(actual), ForecastSeries(rows))
+    for params in WEIGHTS:
+        a1, a2 = params.alpha1, params.alpha2
+        want = [_list_fifo_charges(actual, row, a1, a2)[2] / n for row in rows]
+        assert _same(spec_fast(block, params), want), params
+
+
+def test_batch_peak_memory_per_value():
+    # one series' 250 forecasts at the reliability study's shape (5 levels of
+    # 50, n = 96), scored as one batch; the bound is in float64s per value
+    actual = generate_demand(DemandGenConfig(
+        n=96, count_mu=7.0, count_sigma=1.0, magnitude_mu=10.0, magnitude_sigma=2.0, seed=1414,
+    ))
+    levels = np.repeat([0.5, 1.0, 1.5, 2.0, 2.5], 50).tolist()
+    rows = np.stack([perturb_forecast(actual, ErrorInjectionConfig(
+        vertical_sigma=sigma, horizontal_sigma=sigma, seed=1415 + i,
+    )).values for i, sigma in enumerate(levels)])
+    k, n = rows.shape
+    block = EvaluationPair(actual, ForecastSeries(rows))
+    tracemalloc.start()
+    try:
+        compute_metric("spec", block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * k * n
