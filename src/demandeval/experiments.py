@@ -357,11 +357,11 @@ def _pair_stream(
     one row, builds a generator per row from the row's words and takes the
     rows of each of its blocks from one :func:`perturb_forecast` call; it is one
     :class:`EvaluationPair`, scored in one :func:`compute_metric` call per
-    metric, and a row's score does not depend on its batch. Only the
-    warehouse oracle walks one forecast at a time. Each block is yielded as
-    ``(level index, {metric: values in forecast order}, costs)`` for the
-    metrics keyed in ``bad``, ``costs`` holding each forecast's warehouse
-    cost when ``cost_params`` is given and empty otherwise.
+    metric and, when ``cost_params`` is given, priced in one
+    :func:`stock_cost` call; a row's score and cost do not depend on its
+    batch. Each block is yielded as ``(level index, {metric: values in
+    forecast order}, costs)`` for the metrics keyed in ``bad``, ``costs``
+    holding each forecast's warehouse cost, or empty without ``cost_params``.
     Non-finite values stay in the block and are counted per metric into ``bad``.
     """
     k = config.forecasts_per_series
@@ -382,8 +382,7 @@ def _pair_stream(
                           for a, b in zip(edges, edges[1:])]
                 batch = EvaluationPair(actual, pieces[0] if len(pieces) == 1 else
                                        ForecastSeries._owning(np.concatenate([p.values for p in pieces])))
-                rows = [] if cost_params is None else map(ForecastSeries, batch.forecast.values)
-                costs += [stock_cost(EvaluationPair(actual, f), cost_params) for f in rows]
+                costs += [] if cost_params is None else stock_cost(batch, cost_params).tolist()
                 for m in bad:
                     scores = compute_metric(m, batch, params).value
                     values[m] += scores.tolist()

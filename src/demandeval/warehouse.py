@@ -6,15 +6,16 @@ backorders, oldest first, then shelved as a lot), each demand quantity drains
 the oldest stock first and queues the shortfall as a backorder. At the end of
 every step each open lot or backorder is charged weight * quantity * age.
 The walk streams the two series one step at a time, so it holds no Python
-float per step.
+float per step, and it walks each row of a (k, n) forecast block alone.
 
 It is intentionally a separate code path from the metric evaluators in
 :mod:`demandeval.spec` (no prefix sums, no netting aggregates) so the
 experiment suite can use it as an independent oracle for what a forecast
-error actually costs. It shares only the float rescue with them, through
-:func:`demandeval.spec.walk_mean`: like every score, its cost is ``inf`` only
-when the exact value exceeds the float range, because a mean past it is
-walked again on the pair, and then the weights, scaled by a power of two.
+error actually costs. It shares only the row loop and the float rescue with
+them, :func:`~demandeval.spec.by_row` and :func:`~demandeval.spec.walk_mean`:
+a row's cost has the lone call's bits, and it is ``inf`` only when the exact
+value exceeds the float range, because a mean past it is walked again on the
+pair, and then the weights, scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from collections import deque
 import numpy as np
 
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, one_forecast, walk_mean
+from .spec import DEFAULT_PARAMS, SpecParams, by_row, walk_mean
 
 
-def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float:
-    """Average per-period cost of running the notional warehouse.
+def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float | np.ndarray:
+    """Average per-period cost of running the notional warehouse, one per row of a forecast block.
 
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    return walk_mean(_warehouse_total, *one_forecast(pair), params.alpha1, params.alpha2)
+    return by_row(pair, lambda y, f: walk_mean(_warehouse_total, y, f, params.alpha1, params.alpha2))
 
 
 def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:

@@ -1,17 +1,18 @@
 """Every metric scores a (k, n) forecast block row by row, bit for bit.
 
 A block is an ``EvaluationPair`` whose forecast holds k forecasts of the
-same n steps, one per row. ``compute_metric``, the ten classic metrics and
-``spec_fast`` return one float64 per row, and each must be exactly the value
-the 1-d call gives on that row, NaN equal to NaN, including the rows whose
-block form overflows and is taken again by the 1-d body with its rescue.
+same n steps, one per row. ``compute_metric``, the ten classic metrics,
+``spec_fast`` and the warehouse oracle ``stock_cost`` return one float64 per
+row, and each must be exactly the value the 1-d call gives on that row, NaN
+equal to NaN, including the rows whose block form overflows and is taken
+again by the 1-d body with its rescue.
 """
 
 import numpy as np
 import pytest
 
-from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast
-from demandeval import metrics
+from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast, stock_cost
+from demandeval import metrics, warehouse
 from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric, smape
 from demandeval.series import DemandSeries, ForecastSeries
 from test_streamed_walks import WEIGHTS, _long_pairs, _pairs, _same
@@ -91,10 +92,11 @@ def _assert_rows_match(blocks, names=tuple(_METRIC_FUNCS), weights=SPEC_WEIGHTS)
                 for row, g in zip(rows, got):
                     assert _same(g, _METRIC_FUNCS[name](row)), (name, row)
             for params in weights:
-                got = spec_fast(block, params)
-                assert got.dtype == np.float64 and got.shape == (len(rows),)
-                for row, g in zip(rows, got):
-                    assert _same(g, spec_fast(row, params)), (params, row)
+                for evaluate in (spec_fast, stock_cost):
+                    got = evaluate(block, params)
+                    assert got.dtype == np.float64 and got.shape == (len(rows),)
+                    for row, g in zip(rows, got):
+                        assert _same(g, evaluate(row, params)), (evaluate.__name__, params, row)
 
 
 def test_blocks_of_the_kernel_twin_pairs():
@@ -116,17 +118,20 @@ def test_edge_blocks():
         assert np.isnan(_METRIC_FUNCS["mase"](blocks[1])).all()
         assert np.isnan(_METRIC_FUNCS["rmsse"](blocks[2])).all()
         # the rescues are reached: rows whose block form passes the float range
-        # (sums, smape denominators, SPEC charges at large weights) but whose score does not
-        rescued = {"mae": 0, "smape": 0, "spec": 0}
+        # (sums, smape denominators, SPEC and warehouse charges at large weights)
+        # but whose score does not
+        rescued = {"mae": 0, "smape": 0, "spec": 0, "stock_cost": 0}
         for block in blocks:
             y, rows = block.actual.values, block.forecast.values
             plain = {
                 "mae": np.add.reduce(np.abs(rows - y), axis=1) / y.size,
                 "smape": np.where(np.isinf(y + rows).any(axis=1), np.inf, 0.0),
                 "spec": spec._block_totals(y, rows, 1e306, 3e305) / y.size,
+                "stock_cost": np.array([warehouse._warehouse_total(y, f, 1e306, 3e305) for f in rows]) / y.size,
             }
             scores = {"mae": _METRIC_FUNCS["mae"](block), "smape": _METRIC_FUNCS["smape"](block),
-                      "spec": spec_fast(block, SPEC_WEIGHTS[-1])}
+                      "spec": spec_fast(block, SPEC_WEIGHTS[-1]),
+                      "stock_cost": stock_cost(block, SPEC_WEIGHTS[-1])}
             for name, values in plain.items():
                 rescued[name] += int((~np.isfinite(values) & np.isfinite(scores[name])).sum())
     assert all(rescued.values()), rescued

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from demandeval import EvaluationPair, spec_alpha_sweep, spec_decompose, spec_literal, stock_cost
+from demandeval import EvaluationPair, spec_alpha_sweep, spec_decompose, spec_literal
 from demandeval.errors import SeriesError
 from demandeval.metrics import ExtendedValue
 from demandeval.series import DemandSeries, ForecastSeries
@@ -88,7 +88,7 @@ class TestEvaluationPair:
         with pytest.raises(SeriesError, match="actual has 2 steps but forecast has 3"):
             EvaluationPair.from_values([1, 2], [[1, 2, 3], [3, 2, 1]])
 
-    @pytest.mark.parametrize("evaluate", [spec_literal, spec_decompose, stock_cost,
+    @pytest.mark.parametrize("evaluate", [spec_literal, spec_decompose,
                                           lambda pair: spec_alpha_sweep(pair, 3)])
     def test_one_forecast_evaluators_reject_a_block(self, evaluate):
         with pytest.raises(SeriesError, match="expected one forecast"):

@@ -82,12 +82,11 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     # one perturb_forecast call per (series, level) block
     blocks = 3 * (len(reliability.variance_levels) + len(cost_validity.variance_levels))
     assert values["simulate.perturb_forecast.calls"] == blocks == 21
-    cost_rows = 3 * 4 * len(cost_validity.variance_levels)
-    assert values["warehouse.stock_cost.calls"] == cost_rows
     # a cell of 4 forecasts per level at n = 96 is one batch, one (rows, n) pair
-    # scored by one call per metric; a pair per forecast is built only for the
-    # warehouse oracle
-    assert values["series.EvaluationPair.calls"] == cells + cost_rows == 30
+    # scored by one call per metric and, on cost-validity, priced by one oracle
+    # call; no pair is built per forecast
+    assert values["warehouse.stock_cost.calls"] == 3
+    assert values["series.EvaluationPair.calls"] == cells == 6
     assert values["metrics.compute_metric.calls"] == 3 * len(reliability.metrics) + 3 * len(cost_validity.metrics)
     assert values["spec.spec_fast.calls"] == cells
 
