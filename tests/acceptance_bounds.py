@@ -3,6 +3,8 @@
 ``tests/test_acceptance.py`` asserts the bounds of criteria c06-c10 on the
 report of each shipped study config at its shipped seed, and
 ``tools/seed_sweep.py`` counts how many other root seeds pass each of them.
+Both get their reports from :func:`run_study`, which reads and runs a config
+as ``demandeval experiment`` does.
 A bound reads one number of a report: a metric's correlation r, as it is or
 as |r - centre|, or segment reliability's Levene p. A metric without an r
 fails every bound on it.
@@ -13,6 +15,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
+
+from demandeval.cli import _EXPERIMENT_RUNNERS
+from demandeval.csvio import read_json_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 #: The ``experiment`` kind of each shipped study config, by config file stem.
 STUDIES = {
@@ -22,6 +30,15 @@ STUDIES = {
     "segment_reliability": "segment-reliability",
     "cost_validity": "cost-validity",
 }
+
+
+
+def run_study(study: str, seed: int | None = None):
+    """The report of ``study``'s shipped config, at ``seed`` if given, else its own."""
+    parse, run = _EXPERIMENT_RUNNERS[STUDIES[study]]
+    data = read_json_config(CONFIG_DIR / f"{study}.json")
+    return run(parse(data if seed is None else {**data, "seed": seed}))
+
 
 _COMPARISONS = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
 

@@ -2,11 +2,11 @@
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see one line per
 criterion. The experiment criteria use the desk-scale configs shipped in
-configs/; their runs are shared across criteria through module-scoped
-fixtures and their wall times feed the overall runtime budget check. Their
-bounds on the study reports (c06-c10) are the table in
-``tests/acceptance_bounds.py``, which ``tools/seed_sweep.py`` runs at other
-root seeds.
+configs/, each read and run as ``demandeval experiment`` does; their runs
+are shared across criteria through module-scoped fixtures and their wall
+times feed the overall runtime budget check. Their bounds on the study
+reports (c06-c10) are the table in ``tests/acceptance_bounds.py``, which
+``tools/seed_sweep.py`` runs at other root seeds.
 """
 
 from __future__ import annotations
@@ -22,25 +22,16 @@ import pytest
 
 from demandeval import (
     EvaluationPair,
-    ReliabilityConfig,
-    SegmentReliabilityConfig,
     SpecParams,
-    ValidityConfig,
     compute_all,
-    run_cost_validity,
-    run_reliability,
-    run_segment_reliability_config,
-    run_validity,
     spec_decompose,
     spec_fast,
     spec_literal,
 )
 from demandeval.metrics import mape, rmse
 from demandeval.stats import f_sf, levene, pearson
-from acceptance_bounds import BOUNDS, STUDIES
+from acceptance_bounds import BOUNDS, CONFIG_DIR, STUDIES, run_study
 from conftest import ACTUAL, MODEL_A_FORECAST, MODEL_B_FORECAST, REPO_ROOT, random_pair
-
-CONFIG_DIR = REPO_ROOT / "configs"
 
 #: Wall time of each desk-scale experiment, keyed by config name.
 TIMINGS: dict[str, float] = {}
@@ -48,11 +39,6 @@ TIMINGS: dict[str, float] = {}
 
 def _passed(num: int, label: str) -> None:
     print(f"acceptance C{num:02d} {label}: PASS")
-
-
-def _load_config(name: str) -> dict:
-    with open(CONFIG_DIR / name, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _assert_bounds(criterion: str, study: str, report) -> None:
@@ -64,10 +50,11 @@ def _assert_bounds(criterion: str, study: str, report) -> None:
         assert bound.holds(value), f"{bound.name}: {value}"
 
 
-def _timed(name: str, runner, *args):
+def _timed(study: str):
+    """``study``'s report at its shipped seed, its wall time kept in :data:`TIMINGS`."""
     start = time.perf_counter()
-    report = runner(*args)
-    TIMINGS[name] = time.perf_counter() - start
+    report = run_study(study)
+    TIMINGS[study] = time.perf_counter() - start
     return report
 
 
@@ -83,38 +70,27 @@ def model_b() -> EvaluationPair:
 
 @pytest.fixture(scope="module")
 def horizontal_report():
-    config = ValidityConfig.from_dict(_load_config("validity_horizontal.json"))
-    return _timed("validity_horizontal", run_validity, config)
+    return _timed("validity_horizontal")
 
 
 @pytest.fixture(scope="module")
 def vertical_report():
-    config = ValidityConfig.from_dict(_load_config("validity_vertical.json"))
-    return _timed("validity_vertical", run_validity, config)
+    return _timed("validity_vertical")
 
 
 @pytest.fixture(scope="module")
-def reliability_config():
-    return ReliabilityConfig.from_dict(_load_config("reliability.json"))
-
-
-@pytest.fixture(scope="module")
-def reliability_report(reliability_config):
-    return _timed("reliability", run_reliability, reliability_config)
+def reliability_report():
+    return _timed("reliability")
 
 
 @pytest.fixture(scope="module")
 def segment_report():
-    config = SegmentReliabilityConfig.from_dict(_load_config("segment_reliability.json"))
-    return _timed("segment_reliability", run_segment_reliability_config, config)
+    return _timed("segment_reliability")
 
 
 @pytest.fixture(scope="module")
 def cost_report():
-    data = _load_config("cost_validity.json")
-    cost_params = SpecParams(data.pop("cost_alpha1"), data.pop("cost_alpha2"))
-    config = ReliabilityConfig.from_dict(data)
-    return _timed("cost_validity", run_cost_validity, config, cost_params)
+    return _timed("cost_validity")
 
 
 def test_c01_golden_worked_example(model_a, model_b):
@@ -238,10 +214,10 @@ def test_c07_vertical_validity(vertical_report):
     _passed(7, f"vertical validity (spec r={metrics['spec'].r:.4f})")
 
 
-def test_c08_reliability_and_test_retest(reliability_config, reliability_report):
+def test_c08_reliability_and_test_retest(reliability_report):
     spec_outcome = reliability_report.metrics["spec"]
     _assert_bounds("c08", "reliability", reliability_report)
-    rerun = run_reliability(reliability_config)
+    rerun = run_study("reliability")
     assert rerun.to_json() == reliability_report.to_json()
     _passed(8, f"reliability (spec r={spec_outcome.r:.3f}; rerun byte-identical)")
 

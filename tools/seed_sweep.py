@@ -1,8 +1,7 @@
-"""Run every shipped study config at its shipped seed and at other root seeds,
+"""Run every shipped study config at its shipped seed and at root seeds 2-11,
 and print, as JSON, how each acceptance bound fares.
 
-    python3 tools/seed_sweep.py              # root seeds 2-11
-    python3 tools/seed_sweep.py --seeds 2 3  # a quicker look
+    python3 tools/seed_sweep.py
 
 The bounds are the table in ``tests/acceptance_bounds.py`` that the
 acceptance tests c06-c10 assert at the shipped seeds. For each bound it
@@ -16,7 +15,6 @@ a few seconds per seed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -25,28 +23,27 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
-from acceptance_bounds import BOUNDS, STUDIES  # noqa: E402
-from demandeval.cli import _EXPERIMENT_RUNNERS  # noqa: E402
-from demandeval.csvio import read_json_config  # noqa: E402
+from acceptance_bounds import BOUNDS, STUDIES, run_study  # noqa: E402
+
+#: The root seeds each study runs at besides its shipped one.
+SEEDS = range(2, 12)
 
 
 def _number(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def sweep(seeds: list[int]) -> dict:
+def sweep() -> dict:
     """Each bound's verdict at the shipped seed, and its pass count and worst margin over all runs."""
     runs: dict[str, dict[int, object]] = {}
     shipped: dict[str, int] = {}
-    for study, kind in STUDIES.items():
-        data = read_json_config(REPO_ROOT / "configs" / f"{study}.json")
-        parse, run = _EXPERIMENT_RUNNERS[kind]
-        report = run(parse(data))
+    for study in STUDIES:
+        report = run_study(study)
         shipped[study] = report.seed
         runs[study] = {report.seed: report}
-        for seed in seeds:
+        for seed in SEEDS:
             if seed not in runs[study]:
-                runs[study][seed] = run(parse({**data, "seed": seed}))
+                runs[study][seed] = run_study(study, seed)
     rows = []
     for bound in BOUNDS:
         values = {seed: bound.value(report) for seed, report in runs[bound.study].items()}
@@ -64,16 +61,11 @@ def sweep(seeds: list[int]) -> dict:
             "worst_margin": _number(margins[worst]),
             "worst_seed": worst,
         })
-    return {"seeds": seeds, "bounds": rows}
+    return {"seeds": list(SEEDS), "bounds": rows}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run the shipped study configs at several root seeds; print the acceptance bounds as JSON.")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(2, 12)),
-                        help="root seeds to run besides each config's own (default: 2-11)")
-    args = parser.parse_args(argv)
-    print(json.dumps(sweep(args.seeds), indent=2))
+def main() -> int:
+    print(json.dumps(sweep(), indent=2))
     return 0
 
 
