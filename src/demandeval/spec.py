@@ -288,13 +288,17 @@ def _row_total(y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> fl
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
     """``reduce(*xs)``, of degree ``degrees[i]`` in ``xs[i]``, ``inf`` only when
     its exact value exceeds the float range: a non-finite result is taken again
-    on each x scaled by 2**-k, k the binary exponent of its largest |x|, and
-    scaled back by 2**(sum of degree * k). Scaling by a power of two is exact
-    away from subnormals, so a result that did not overflow keeps its bits.
+    by :func:`_rescaled`.
     """
     value = reduce(*xs)
-    if math.isfinite(value):
-        return float(value)
+    return float(value) if math.isfinite(value) else _rescaled(reduce, xs, degrees)
+
+
+def _rescaled(reduce, xs: tuple[np.ndarray, ...], degrees: tuple[int, ...] = (1,)) -> float:
+    """``reduce`` on each x scaled by 2**-k, k the binary exponent of its largest
+    |x|, scaled back by 2**(sum of degree * k). Scaling by a power of two is exact
+    away from subnormals, so a result that did not overflow keeps its bits.
+    """
     ks = [int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) for x in xs]
     scaled = reduce(*(np.ldexp(x, -k) for x, k in zip(xs, ks)))
     with np.errstate(over="ignore"):  # a value past the float range is inf
@@ -302,17 +306,23 @@ def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
 
 
 def walk_mean(walk, y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
-    """The total ``walk(y, f, alpha1, alpha2)`` returns, over n. Past the float range it is
-    :func:`rescued` on the pair, then, if still past it, on the weights; never both in one pass."""
+    """The total ``walk(y, f, alpha1, alpha2)`` returns, over n. A mean past the float
+    range is walked again on the pair, :func:`_rescaled`; one still past it, on the
+    weights rescaled likewise, with the pair :func:`rescued` at them. The unscaled
+    pair is walked only once at the given weights."""
     n = y.size
-    mean = walk(y, f, alpha1, alpha2) / n
-    if math.isfinite(mean):
-        return mean
 
-    def weighted(weights: np.ndarray) -> float:
-        a1, a2 = weights.tolist()
-        return rescued(lambda yf: walk(*yf, a1, a2) / n, np.stack((y, f)))
-    return rescued(weighted, np.array([alpha1, alpha2], dtype=float))
+    def mean(a1: float, a2: float):
+        return lambda yf: walk(*yf, a1, a2) / n
+    value = walk(y, f, alpha1, alpha2) / n
+    if math.isfinite(value):
+        return value
+    yf = np.stack((y, f))
+    value = _rescaled(mean(alpha1, alpha2), (yf,))
+    if math.isfinite(value):
+        return value
+    weights = np.array([alpha1, alpha2], dtype=float)
+    return _rescaled(lambda w: rescued(mean(*w.tolist()), yf), (weights,))
 
 
 def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:

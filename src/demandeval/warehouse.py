@@ -1,12 +1,21 @@
 """Discrete-event warehouse bookkeeping used as the ground-truth cost model.
 
-This walks the horizon step by step with explicit stock lots and backorder
-records: each forecast quantity arrives as a delivery (first filling open
-backorders, oldest first, then shelved as a lot), each demand quantity drains
-the oldest stock first and queues the shortfall as a backorder. At the end of
-every step each open lot or backorder is charged weight * quantity * age.
-The walk streams the two series one step at a time, so it holds no Python
-float per step, and it walks each row of a (k, n) forecast block alone.
+This walks the horizon with explicit stock lots and backorder records: each
+forecast quantity arrives as a delivery (first filling open backorders,
+oldest first, then shelved as a lot), each demand quantity drains the oldest
+stock first and queues the shortfall as a backorder. At the end of every step
+each open lot or backorder is charged weight * quantity * age.
+
+The walk takes a (k, n) forecast block, one forecast being the block of one
+row, ``_CHUNK`` steps at a time, and finds every row's volume steps, where
+the demand or the delivery is positive, with one mask per chunk. It visits a
+row's volume steps in order, and the steps in between and after the last
+one only while a lot or a backorder is open, to charge them; a step with
+nothing open and no volume adds nothing. Each row carries its lots,
+backorders, running total and last visited step from one chunk to the next,
+so the walk holds one chunk's volume steps besides its open lots and
+backorders, whatever the series length, and every charge is added in step
+order, so a row's cost has the same bits in any block.
 
 It is intentionally a separate code path from the metric evaluators in
 :mod:`demandeval.spec` (no prefix sums, no netting aggregates) so the
@@ -21,11 +30,14 @@ pair, and then the weights, scaled by a power of two.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
 import numpy as np
 
 from .series import EvaluationPair
 from .spec import DEFAULT_PARAMS, SpecParams, by_row, walk_mean
+
+_CHUNK = 1024  # steps per chunk: the walk holds one chunk's volume steps of every row at a time
 
 
 def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float | np.ndarray:
@@ -34,41 +46,77 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    return by_row(pair, lambda y, f: walk_mean(_warehouse_total, y, f, params.alpha1, params.alpha2))
+    a1, a2 = params.alpha1, params.alpha2
+    return by_row(pair, lambda y, f: walk_mean(_warehouse_total, y, f, a1, a2),
+                  lambda y, block: _warehouse_totals(y, block, a1, a2) / y.size)
 
 
 def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:
     """Summed charges of the walk over demand ``y`` and deliveries ``f``."""
-    lots: deque[list[float]] = deque()  # [arrival_step, qty] on the shelf
-    backorders: deque[list[float]] = deque()  # [order_step, qty] owed
+    [total] = _warehouse_totals(y, f[None], a1, a2).tolist()
+    return total
 
-    total = 0.0
-    step = 0
-    # memoryview yields one float at a time; .tolist() would hold 2n at once
-    for leaving, arriving in zip(memoryview(y), memoryview(f)):
-        step += 1
-        while arriving > 0.0 and backorders:
-            oldest = backorders[0]
-            filled = oldest[1] if oldest[1] <= arriving else arriving
-            oldest[1] -= filled
-            arriving -= filled
-            if oldest[1] <= 0.0:
-                backorders.popleft()
-        if arriving > 0.0:
-            lots.append([step, arriving])
 
-        while leaving > 0.0 and lots:
-            oldest = lots[0]
-            taken = oldest[1] if oldest[1] <= leaving else leaving
-            oldest[1] -= taken
-            leaving -= taken
-            if oldest[1] <= 0.0:
-                lots.popleft()
-        if leaving > 0.0:
-            backorders.append([step, leaving])
+def _warehouse_totals(y: np.ndarray, block: np.ndarray, a1: float, a2: float) -> np.ndarray:
+    """Each row's summed charges, for a (k, n) ``block`` of deliveries against demand ``y``."""
+    k, n = block.shape
+    walks = [(deque(), deque(), 0.0, 1) for _ in range(k)]
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        yc, bc = y[lo:hi], block[:, lo:hi]
+        flat = np.logical_or(yc, bc).ravel().nonzero()[0]  # the series are non-negative
+        at = flat % (hi - lo)
+        ends = flat.searchsorted(np.arange(1, k + 1) * (hi - lo)).tolist()  # each row's end in flat
+        _walk(walks, (at + (lo + 1)).tolist(), yc[at].tolist(), bc.ravel()[flat].tolist(), ends, a1, a2)
+    return np.array([_charged(lots, backorders, total, last, n + 1, a1, a2)
+                     for lots, backorders, total, last in walks], dtype=float)
 
-        for arrival_step, qty in lots:
-            total += a2 * qty * (step - arrival_step + 1)
-        for order_step, qty in backorders:
-            total += a1 * qty * (step - order_step + 1)
+
+def _walk(walks, steps, ys, fs, ends, a1, a2):
+    """Walk one chunk of every row: row i visits the 1-based volume steps
+    ``steps[s:ends[i]]``, s = ``ends[i-1]`` or 0, with the demand ``ys`` and
+    the delivery ``fs`` at each; ``walks[i]`` carries its lots, backorders,
+    total and last visited step between chunks. The steps since the last
+    visited one are charged before a volume step moves any quantity.
+    """
+    volume = zip(steps, ys, fs)
+    start = 0
+    for i, end in enumerate(ends):
+        lots, backorders, total, last = walks[i]
+        for step, leaving, arriving in islice(volume, end - start):
+            total = _charged(lots, backorders, total, last, step, a1, a2)
+            while arriving > 0.0 and backorders:
+                oldest = backorders[0]
+                filled = oldest[1] if oldest[1] <= arriving else arriving
+                oldest[1] -= filled
+                arriving -= filled
+                if oldest[1] <= 0.0:
+                    backorders.popleft()
+            if arriving > 0.0:
+                lots.append([step, arriving])
+
+            while leaving > 0.0 and lots:
+                oldest = lots[0]
+                taken = oldest[1] if oldest[1] <= leaving else leaving
+                oldest[1] -= taken
+                leaving -= taken
+                if oldest[1] <= 0.0:
+                    lots.popleft()
+            if leaving > 0.0:
+                backorders.append([step, leaving])
+            last = step
+        walks[i] = lots, backorders, total, last
+        start = end
+
+
+def _charged(lots, backorders, total, first, stop, a1, a2):
+    """``total`` plus the charges at steps ``first`` to ``stop - 1`` of the
+    open lots and backorders, added in the walk's order; with none open, no
+    step is visited."""
+    if lots or backorders:
+        for step in range(first, stop):
+            for arrival_step, qty in lots:
+                total += a2 * qty * (step - arrival_step + 1)
+            for order_step, qty in backorders:
+                total += a1 * qty * (step - order_step + 1)
     return total

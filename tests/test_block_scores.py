@@ -15,7 +15,7 @@ from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast,
 from demandeval import metrics, warehouse
 from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric, smape
 from demandeval.series import DemandSeries, ForecastSeries
-from test_streamed_walks import WEIGHTS, _long_pairs, _pairs, _same
+from test_streamed_walks import WEIGHTS, _list_warehouse_total, _long_pairs, _open_pairs, _pairs, _same
 
 #: The kernel twin test's weightings, plus one whose charges overflow at any volume.
 SPEC_WEIGHTS = (*WEIGHTS, SpecParams(1e306, 3e305))
@@ -105,9 +105,39 @@ def test_blocks_of_the_kernel_twin_pairs():
 
 
 def test_blocks_past_one_chunk():
-    # stock_cost walks a block one row at a time, with no chunk to cross, and
-    # its quadratic walk on these rows of up to 4,999 steps costs half a minute
+    # stock_cost charges in Python every step that a lot or a backorder is
+    # open, about 8 s per weighting on these random rows of up to 4,999 steps;
+    # test_stock_cost_blocks_past_one_chunk checks its chunk boundaries
     _assert_rows_match(_blocks_from(_long_pairs(), 1, 10), evaluators=(spec_fast,))
+
+
+def test_stock_cost_blocks_past_one_chunk(monkeypatch):
+    # the hand-made rows for the walk's chunk hold a lot or a backorder open
+    # across chunk boundaries or until step n, next to rows with no volume and
+    # with volume only at step 1 or only at step n, against each actual
+    blocks = []
+    by_length: dict[int, list[EvaluationPair]] = {}
+    for pair in _open_pairs(warehouse._CHUNK):
+        by_length.setdefault(pair.n, []).append(pair)
+    for n, group in by_length.items():
+        edges = np.zeros((3, n))
+        edges[1, 0] = edges[2, -1] = 7.5
+        actuals = [pair.actual.values for pair in group]
+        rows = np.vstack([*actuals, *(pair.forecast.values for pair in group), edges])
+        blocks += [_block(actual, rows) for actual in (*actuals, *edges)]
+
+    def lone_costs(block, params):
+        return [stock_cost(EvaluationPair(block.actual, ForecastSeries(f)), params) for f in block.forecast.values]
+
+    with np.errstate(over="ignore"):
+        for params in SPEC_WEIGHTS:
+            got = [(stock_cost(block, params), lone_costs(block, params)) for block in blocks]
+            with monkeypatch.context() as patch:  # the walk of every step, and its rescue
+                patch.setattr(warehouse, "_warehouse_total", _list_warehouse_total)
+                want = [lone_costs(block, params) for block in blocks]
+            for block, (block_costs, lone), list_costs in zip(blocks, got, want):
+                assert _same(block_costs, lone), (params, block)
+                assert _same(block_costs, list_costs), (params, block)
 
 
 def test_study_stream_blocks():

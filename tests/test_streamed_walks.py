@@ -1,10 +1,11 @@
 """The SPEC kernel and the warehouse oracle stream their series: they keep
 the bits of their list forms and hold no Python float per step.
 
-``_list_fifo_charges`` and ``_list_stock_cost`` are the bodies that
+``_list_fifo_charges`` and ``_list_warehouse_total`` are the bodies that
 ``spec._fifo_charges`` and ``warehouse.stock_cost`` had when they held every
 step as a Python float: the kernel kept its charges in lists and netted at
-every step, and the oracle walked ``.tolist()`` copies of both series. The
+every step, and the oracle walked every step of ``.tolist()`` copies of both
+series; ``_list_stock_cost`` is the oracle's cost from that body. The
 streamed forms must give the same score, per-step split, sweep and cost bit
 for bit, NaN equal to NaN, on every kind of pair, including pairs whose
 charges pass the float range and take the rescaled pass.
@@ -13,6 +14,9 @@ The kernel nets only at volume steps, and fills the charges in between
 chunk by chunk, ``spec._CHUNK`` steps at a time. The twin test covers series
 of one chunk and of several: ``_pairs`` and the ``_long_pairs`` of up to
 ``spec._CHUNK`` steps are one chunk long, the other ``_long_pairs`` several.
+The oracle also takes ``warehouse._CHUNK`` steps at a time, and visits only
+the volume steps and the steps with a lot or a backorder open;
+``test_block_scores`` checks its chunk boundaries with :func:`_open_pairs`.
 """
 
 import math
@@ -34,7 +38,7 @@ from demandeval import (
     spec_fast,
     stock_cost,
 )
-from demandeval import spec
+from demandeval import spec, warehouse
 from demandeval.metrics import compute_metric
 from demandeval.series import DemandSeries, ForecastSeries
 
@@ -94,10 +98,13 @@ def _list_fifo_charges(y, f, alpha1, alpha2):
 
 
 def _list_stock_cost(pair, params):
-    y = pair.actual.values.tolist()
-    f = pair.forecast.values.tolist()
+    return _list_warehouse_total(pair.actual.values, pair.forecast.values, params.alpha1, params.alpha2) / pair.n
+
+
+def _list_warehouse_total(y, f, a1, a2):
+    y = y.tolist()
+    f = f.tolist()
     n = len(y)
-    a1, a2 = params.alpha1, params.alpha2
 
     lots = deque()  # [arrival_step, qty] on the shelf
     backorders = deque()  # [order_step, qty] owed
@@ -130,7 +137,7 @@ def _list_stock_cost(pair, params):
             total += a2 * qty * (step - arrival_step + 1)
         for order_step, qty in backorders:
             total += a1 * qty * (step - order_step + 1)
-    return total / n
+    return total
 
 
 def _random_pair(rng, n, kind):
@@ -186,16 +193,22 @@ def _same(a, b) -> bool:
 def _long_pairs():
     """Pairs at and past the kernel's chunk length: each kind of
     :func:`_random_pair` at lengths from one chunk less a step to about
-    5,000, single batches that stay open across chunk boundaries, and one that
-    stays open over the whole of the longest one-chunk series."""
+    5,000, and the :func:`_open_pairs` of the kernel's chunk."""
     chunk = spec._CHUNK
     rng = np.random.default_rng(1415)
     pairs = [_random_pair(rng, n, kind) for n in (chunk + 1, 2 * chunk, 2 * chunk + 1, 3_001, 4_999)
              for kind in range(4)]
     pairs += [_random_pair(rng, n, kind) for n in (chunk - 1, chunk) for kind in range(4)]
+    return pairs + _open_pairs(chunk)
+
+
+def _open_pairs(chunk):
+    """Hand-made pairs for a walk of ``chunk`` steps at a time: single batches
+    that stay open across chunk boundaries, and one that stays open over the
+    whole of the longest one-chunk series."""
     sides = np.zeros((2, chunk))
     sides[0, 0] = 7.5  # owed from step 1 to the last step, the run the fill charges last
-    pairs.append(EvaluationPair.from_values(*sides))
+    pairs = [EvaluationPair.from_values(*sides)]
     for early, late in ((chunk - 1, 2 * chunk + 9), (chunk - 1, chunk), (0, 3 * chunk - 1)):
         for late_side in (0, 1):
             sides = np.zeros((2, 3 * chunk))
@@ -271,10 +284,15 @@ def test_peak_memory_per_step(walk, bound):
     assert peak <= bound * 8 * n
 
 
-def test_block_peak_memory_per_chunk():
+@pytest.mark.parametrize("walk, k, n, bound, chunk", [
+    (spec_fast, 50, 20_000, 24, spec._CHUNK),
+    (stock_cost, 10, 5_000, 6, warehouse._CHUNK),  # small: tracemalloc slows the walk's Python objects
+], ids=["spec_fast", "stock_cost"])
+def test_block_peak_memory_per_chunk(walk, k, n, bound, chunk):
     # a block of lumpy forecasts of one series, as above; the bound is in
-    # float64s per chunk of the block's rows, so it does not grow with n
-    k, n = 50, 20_000
+    # float64s per chunk of the block's rows, so it does not grow with n:
+    # the kernel's chunk temporaries, and the oracle's volume steps of one
+    # chunk besides its open lots and backorders
     density = 7.0 / 96.0
     actual = generate_demand(DemandGenConfig(
         n=n, count_mu=density * n, count_sigma=math.sqrt(density * n),
@@ -286,11 +304,11 @@ def test_block_peak_memory_per_chunk():
     block = EvaluationPair(actual, ForecastSeries(rows))
     tracemalloc.start()
     try:
-        spec_fast(block)
+        walk(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 8 * k * spec._CHUNK
+    assert peak <= bound * 8 * k * chunk
 
 
 #: Pairs that take each branch of the kernel's single open queue, by name: a

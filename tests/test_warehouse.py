@@ -15,6 +15,7 @@ from demandeval import (
     spec_literal,
     stock_cost,
 )
+from demandeval import spec, warehouse
 from conftest import random_pair
 
 
@@ -85,3 +86,21 @@ class TestStockCost:
         params = SpecParams(*weights)
         assert stock_cost(pair, params) == want
         assert spec_fast(pair, params) == want
+
+    @pytest.mark.parametrize("weights, want", [((0.75, 0.25), 2), ((1e306, 3e305), 4)])
+    @pytest.mark.parametrize("evaluate, module, name", [
+        (stock_cost, warehouse, "_warehouse_total"),
+        (spec_fast, spec, "_row_total"),
+    ], ids=["stock_cost", "spec_fast"])
+    def test_an_overflowing_pair_is_walked_once_unscaled(self, weights, want, evaluate, module, name,
+                                                         monkeypatch):
+        # the unscaled pair at the given weights, then the pair scaled; at
+        # 1e306 the scaled pair still overflows, so the weights are scaled
+        # and that pair is walked unscaled and scaled again
+        pair = EvaluationPair.from_values([1e308, 1e308, 0], [0, 0, 1e308])
+        walk = getattr(module, name)
+        walks = []
+        monkeypatch.setattr(module, name, lambda *args: walks.append(args) or walk(*args))
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluate(pair, SpecParams(*weights))
+        assert len(walks) == want
