@@ -20,7 +20,9 @@ split is asked for. Each row's charges are summed in step order, so a row's
 score has the same bits in any block, and no Python object is kept per step.
 :func:`spec_fast` (the score, also of a block),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
-(the alpha trade-off line) are all derived from it. :func:`spec_literal` is
+(the alpha trade-off line) are all derived from it. :func:`walk_means` is the
+one entry of this walk and the warehouse oracle's: it walks a block once, and
+again, rescaled, only a row whose mean is past the float range. :func:`spec_literal` is
 the normative reference: a direct O(n^2) transcription of the definition,
 kept permanently as the oracle the kernel is tested against to 1e-9.
 """
@@ -86,11 +88,13 @@ class CostBreakdown:
         return int(self.per_t_opportunity.size)
 
     def opportunity_at(self, t: int) -> float:
-        """Opportunity cost charged at 1-based time step t."""
+        """Opportunity cost charged at 1-based time step t, 1 to n."""
+        check_int("t", t, 1, self.n)
         return float(self.per_t_opportunity[t - 1])
 
     def stock_at(self, t: int) -> float:
-        """Stock-keeping cost charged at 1-based time step t."""
+        """Stock-keeping cost charged at 1-based time step t, 1 to n."""
+        check_int("t", t, 1, self.n)
         return float(self.per_t_stock[t - 1])
 
 
@@ -265,26 +269,6 @@ def _block_totals(y: np.ndarray, block: np.ndarray, alpha1: float, alpha2: float
     return totals
 
 
-def _fifo_charges(
-    y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted owed and held charges at each step (0-based) and their total,
-    for demand ``y`` and deliveries ``f``: :func:`_block_totals` of the
-    one-row block. The total is summed in step order, the same bits as the
-    :func:`_row_total` that :func:`spec_fast` returns over n. The charges go
-    into two float arrays; no Python float is kept per step.
-    """
-    charges = np.empty((2, 1, y.size))
-    [total] = _block_totals(y, f[None], alpha1, alpha2, charges).tolist()
-    return charges[0, 0], charges[1, 0], total
-
-
-def _row_total(y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
-    """The total of :func:`_fifo_charges`, without its per-step charges."""
-    [total] = _block_totals(y, f[None], alpha1, alpha2).tolist()
-    return total
-
-
 def rescued(reduce, *xs: np.ndarray, degrees: tuple[int, ...] = (1,)) -> float:
     """``reduce(*xs)``, of degree ``degrees[i]`` in ``xs[i]``, ``inf`` only when
     its exact value exceeds the float range: a non-finite result is taken again
@@ -305,24 +289,26 @@ def _rescaled(reduce, xs: tuple[np.ndarray, ...], degrees: tuple[int, ...] = (1,
         return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
 
 
-def walk_mean(walk, y: np.ndarray, f: np.ndarray, alpha1: float, alpha2: float) -> float:
-    """The total ``walk(y, f, alpha1, alpha2)`` returns, over n. A mean past the float
-    range is walked again on the pair, :func:`_rescaled`; one still past it, on the
-    weights rescaled likewise, with the pair :func:`rescued` at them. The unscaled
-    pair is walked only once at the given weights."""
+def walk_means(walk, pair: EvaluationPair, alpha1: float, alpha2: float) -> float | np.ndarray:
+    """Each forecast's total ``walk(y, block, alpha1, alpha2)`` returns, over n: a
+    float64 array for a (k, n) forecast block, a float for a lone forecast, the
+    block of one row. The block is walked once; a row whose mean is past the
+    float range is walked again on the pair, :func:`_rescaled`, and one still
+    past it on the weights rescaled likewise, with the pair :func:`rescued` at them."""
+    y, f = pair.actual.values, pair.forecast.values
     n = y.size
-
-    def mean(a1: float, a2: float):
-        return lambda yf: walk(*yf, a1, a2) / n
-    value = walk(y, f, alpha1, alpha2) / n
-    if math.isfinite(value):
-        return value
-    yf = np.stack((y, f))
-    value = _rescaled(mean(alpha1, alpha2), (yf,))
-    if math.isfinite(value):
-        return value
-    weights = np.array([alpha1, alpha2], dtype=float)
-    return _rescaled(lambda w: rescued(mean(*w.tolist()), yf), (weights,))
+    block = f.reshape(-1, n)
+    means = walk(y, block, alpha1, alpha2) / n
+    for i in np.flatnonzero(~np.isfinite(means)):
+        def mean(a1: float, a2: float):
+            return lambda yf: walk(yf[0], yf[1:], a1, a2)[0] / n
+        yf = np.stack((y, block[i]))
+        value = _rescaled(mean(alpha1, alpha2), (yf,))
+        if not math.isfinite(value):
+            weights = np.array([alpha1, alpha2], dtype=float)
+            value = _rescaled(lambda w: rescued(mean(*w.tolist()), yf), (weights,))
+        means[i] = value
+    return means if f.ndim == 2 else means.item()
 
 
 def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +320,9 @@ def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def by_row(pair: EvaluationPair, score, rows=None):
-    """``score(y, f)`` on the pair's value arrays, or, where the forecast is a
-    (k, n) block, a float64 array with each row's ``score``, bit for bit.
+    """The classic metrics' row loop (the cost walks take :func:`walk_means`): ``score(y, f)``
+    on the pair's value arrays, or, where the forecast is a (k, n) block, a
+    float64 array with each row's ``score``, bit for bit.
 
     ``rows(y, block)`` scores the whole block at once, and every row it leaves
     non-finite is taken again by ``score``, which holds the overflow rescues;
@@ -354,22 +341,20 @@ def by_row(pair: EvaluationPair, score, rows=None):
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float | np.ndarray:
     """O(n) evaluator matching :func:`spec_literal` to 1e-9; on a (k, n)
-    forecast block, one score per row (:func:`by_row`, :func:`_block_totals`)."""
-    a1, a2 = params.alpha1, params.alpha2
-    return by_row(pair, lambda y, f: walk_mean(_row_total, y, f, a1, a2),
-                  lambda y, block: _block_totals(y, block, a1, a2) / y.size)
+    forecast block, one score per row (:func:`walk_means`, :func:`_block_totals`)."""
+    return walk_means(_block_totals, pair, params.alpha1, params.alpha2)
 
 
 def _unit_charges(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray, int]:
     """Unit-weight charges at each step and k = 0, or, where their total passes
     the float range, the charges of the pair scaled by 2**-k below 1 and k."""
     y, f = one_forecast(pair)
-    opp, stock, total = _fifo_charges(y, f, 1.0, 1.0)
-    if math.isfinite(total):
-        return opp, stock, 0
-    k = int(np.frexp(max(y.max(), f.max()))[1])
-    opp, stock, _ = _fifo_charges(np.ldexp(y, -k), np.ldexp(f, -k), 1.0, 1.0)
-    return opp, stock, k
+    charges = np.empty((2, 1, y.size))
+    k = 0
+    if not math.isfinite(_block_totals(y, f[None], 1.0, 1.0, charges)[0]):
+        k = int(np.frexp(max(y.max(), f.max()))[1])
+        _block_totals(np.ldexp(y, -k), np.ldexp(f, -k)[None], 1.0, 1.0, charges)
+    return charges[0, 0], charges[1, 0], k
 
 
 def spec_decompose(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> CostBreakdown:

@@ -20,11 +20,11 @@ order, so a row's cost has the same bits in any block.
 It is intentionally a separate code path from the metric evaluators in
 :mod:`demandeval.spec` (no prefix sums, no netting aggregates) so the
 experiment suite can use it as an independent oracle for what a forecast
-error actually costs. It shares only the row loop and the float rescue with
-them, :func:`~demandeval.spec.by_row` and :func:`~demandeval.spec.walk_mean`:
-a row's cost has the lone call's bits, and it is ``inf`` only when the exact
-value exceeds the float range, because a mean past it is walked again on the
-pair, and then the weights, scaled by a power of two.
+error actually costs. It shares only its entry and the float rescue with
+them, :func:`~demandeval.spec.walk_means`: the block is walked once, a row's
+cost has the lone call's bits, and it is ``inf`` only when the exact value
+exceeds the float range, because a row whose mean is past it is walked again
+on the pair, and then the weights, scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, by_row, walk_mean
+from .spec import DEFAULT_PARAMS, SpecParams, walk_means
 
 _CHUNK = 1024  # steps per chunk: the walk holds one chunk's volume steps of every row at a time
 
@@ -46,15 +46,7 @@ def stock_cost(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> flo
     ``params.alpha1`` prices one backordered SKU per period of age,
     ``params.alpha2`` one shelved SKU per period of age.
     """
-    a1, a2 = params.alpha1, params.alpha2
-    return by_row(pair, lambda y, f: walk_mean(_warehouse_total, y, f, a1, a2),
-                  lambda y, block: _warehouse_totals(y, block, a1, a2) / y.size)
-
-
-def _warehouse_total(y: np.ndarray, f: np.ndarray, a1: float, a2: float) -> float:
-    """Summed charges of the walk over demand ``y`` and deliveries ``f``."""
-    [total] = _warehouse_totals(y, f[None], a1, a2).tolist()
-    return total
+    return walk_means(_warehouse_totals, pair, params.alpha1, params.alpha2)
 
 
 def _warehouse_totals(y: np.ndarray, block: np.ndarray, a1: float, a2: float) -> np.ndarray:

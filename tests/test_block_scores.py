@@ -15,7 +15,7 @@ from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast,
 from demandeval import metrics, warehouse
 from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric, smape
 from demandeval.series import DemandSeries, ForecastSeries
-from test_streamed_walks import WEIGHTS, _list_warehouse_total, _long_pairs, _open_pairs, _pairs, _same
+from test_streamed_walks import WEIGHTS, _list_warehouse_totals, _long_pairs, _open_pairs, _pairs, _same
 
 #: The kernel twin test's weightings, plus one whose charges overflow at any volume.
 SPEC_WEIGHTS = (*WEIGHTS, SpecParams(1e306, 3e305))
@@ -133,7 +133,7 @@ def test_stock_cost_blocks_past_one_chunk(monkeypatch):
         for params in SPEC_WEIGHTS:
             got = [(stock_cost(block, params), lone_costs(block, params)) for block in blocks]
             with monkeypatch.context() as patch:  # the walk of every step, and its rescue
-                patch.setattr(warehouse, "_warehouse_total", _list_warehouse_total)
+                patch.setattr(warehouse, "_warehouse_totals", _list_warehouse_totals)
                 want = [lone_costs(block, params) for block in blocks]
             for block, (block_costs, lone), list_costs in zip(blocks, got, want):
                 assert _same(block_costs, lone), (params, block)
@@ -160,7 +160,7 @@ def test_edge_blocks():
                 "mae": np.add.reduce(np.abs(rows - y), axis=1) / y.size,
                 "smape": np.where(np.isinf(y + rows).any(axis=1), np.inf, 0.0),
                 "spec": spec._block_totals(y, rows, 1e306, 3e305) / y.size,
-                "stock_cost": np.array([warehouse._warehouse_total(y, f, 1e306, 3e305) for f in rows]) / y.size,
+                "stock_cost": warehouse._warehouse_totals(y, rows, 1e306, 3e305) / y.size,
             }
             scores = {"mae": _METRIC_FUNCS["mae"](block), "smape": _METRIC_FUNCS["smape"](block),
                       "spec": spec_fast(block, SPEC_WEIGHTS[-1]),

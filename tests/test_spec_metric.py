@@ -125,6 +125,20 @@ class TestDecompose:
         spec_decompose(model_b_pair, SpecParams(0.4, 0.6))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("t", [0, -1, 4, True])
+    def test_step_accessors_reject_a_step_outside_1_to_n(self, t):
+        b = spec_decompose(EvaluationPair.from_values([0, 0, 3], [3, 0, 0]))
+        for at in (b.opportunity_at, b.stock_at):
+            with pytest.raises(InvalidConfig, match="^t must be an integer"):
+                at(t)
+
+    def test_step_accessors_read_the_first_and_last_steps(self):
+        # three units held from step 1, two of them still at step 3; then owed
+        held = spec_decompose(EvaluationPair.from_values([0, 0, 1], [3, 0, 0]))
+        owed = spec_decompose(EvaluationPair.from_values([3, 0, 0], [0, 0, 1]))
+        assert [held.stock_at(1), held.stock_at(3)] == [0.25 * 3, 0.25 * 2 * 3]
+        assert [owed.opportunity_at(1), owed.opportunity_at(3)] == [0.75 * 3, 0.75 * 2 * 3]
+
 
 class TestFastEvaluator:
     def test_matches_literal_on_fixtures(self, model_a_pair, model_b_pair):

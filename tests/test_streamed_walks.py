@@ -1,11 +1,13 @@
 """The SPEC kernel and the warehouse oracle stream their series: they keep
 the bits of their list forms and hold no Python float per step.
 
-``_list_fifo_charges`` and ``_list_warehouse_total`` are the bodies that
-``spec._fifo_charges`` and ``warehouse.stock_cost`` had when they held every
-step as a Python float: the kernel kept its charges in lists and netted at
-every step, and the oracle walked every step of ``.tolist()`` copies of both
-series; ``_list_stock_cost`` is the oracle's cost from that body. The
+``_list_fifo_charges`` and ``_list_warehouse_total`` are the bodies that the
+kernel's one-forecast walk and ``warehouse.stock_cost`` had when they held
+every step as a Python float: the kernel kept its charges in lists and netted
+at every step, and the oracle walked every step of ``.tolist()`` copies of
+both series; ``_list_stock_cost`` is the oracle's cost from that body.
+``_list_block_totals`` and ``_list_warehouse_totals`` run them row by row in
+place of ``spec._block_totals`` and ``warehouse._warehouse_totals``. The
 streamed forms must give the same score, per-step split, sweep and cost bit
 for bit, NaN equal to NaN, on every kind of pair, including pairs whose
 charges pass the float range and take the rescaled pass.
@@ -97,6 +99,17 @@ def _list_fifo_charges(y, f, alpha1, alpha2):
     return np.array(opp), np.array(stock), total
 
 
+def _list_block_totals(y, block, a1, a2, charges=None):
+    """``_list_fifo_charges`` of each row: the totals, and the split in ``charges``."""
+    totals = []
+    for i, row in enumerate(block):
+        opp, stock, total = _list_fifo_charges(y, row, a1, a2)
+        if charges is not None:
+            charges[:, i] = opp, stock
+        totals.append(total)
+    return np.array(totals, dtype=float)
+
+
 def _list_stock_cost(pair, params):
     return _list_warehouse_total(pair.actual.values, pair.forecast.values, params.alpha1, params.alpha2) / pair.n
 
@@ -138,6 +151,10 @@ def _list_warehouse_total(y, f, a1, a2):
         for order_step, qty in backorders:
             total += a1 * qty * (step - order_step + 1)
     return total
+
+
+def _list_warehouse_totals(y, block, a1, a2):
+    return np.array([_list_warehouse_total(y, row, a1, a2) for row in block], dtype=float)
 
 
 def _random_pair(rng, n, kind):
@@ -230,9 +247,8 @@ def long_pairs():
 
 def test_kernel_matches_its_list_twin(pairs, long_pairs, monkeypatch):
     got = [_kernel_results(pair) for pair in pairs + long_pairs]
-    # the score reads the twin's total, and the split and sweep its charges
-    monkeypatch.setattr(spec, "_row_total", lambda *args: _list_fifo_charges(*args)[2])
-    monkeypatch.setattr(spec, "_fifo_charges", _list_fifo_charges)
+    # the score reads the twin's totals, and the split and sweep its charges
+    monkeypatch.setattr(spec, "_block_totals", _list_block_totals)
     want = [_kernel_results(pair) for pair in pairs + long_pairs]
     for pair, got_results, want_results in zip(pairs + long_pairs, got, want):
         for g, w in zip(got_results, want_results):
@@ -343,8 +359,7 @@ def test_single_queue_matches_the_list_twin(actual, forecast, monkeypatch):
                 *(array for split in splits for array in (split.per_t_opportunity, split.per_t_stock))]
 
     got = results()
-    monkeypatch.setattr(spec, "_row_total", lambda *args: _list_fifo_charges(*args)[2])
-    monkeypatch.setattr(spec, "_fifo_charges", _list_fifo_charges)
+    monkeypatch.setattr(spec, "_block_totals", _list_block_totals)
     want = results()
     for g, w in zip(got, want):
         assert _same(g, w), (g, w)

@@ -1,12 +1,14 @@
-"""The benchmark's tracer must still find every layer it wraps on the studies.
+"""The benchmark's tracer must still find every layer it wraps on every workload.
 
 ``perfbench/tracing.py`` wraps named functions (``derive_seed``,
 ``perturb_forecast``, ``EvaluationPair.__init__``, ``compute_metric``, the
-classic metrics, ``spec_fast``, ``stock_cost``, the statistics) and reports a
-layer as unmeasured when a study never calls it, which fails the traced
-benchmark run. This test loads the tracer file as it is and runs both studies
-on a small grid under it, so an engine that drops a wrapped name from the
-call path fails here first.
+classic metrics, ``spec_fast``, ``spec_decompose``, ``spec_alpha_sweep``,
+``stock_cost``, the CSV and SVG writers, the statistics) and reports a layer
+as unmeasured when a workload never calls it, which fails the traced
+benchmark run. These tests load the tracer file as it is and run both
+studies on a small grid, and the long_pair CLI session on a short pair,
+under it, so an engine that drops a wrapped name from the call path fails
+here first.
 """
 
 import importlib
@@ -22,10 +24,10 @@ from demandeval import experiments
 from conftest import REPO_ROOT
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    path = REPO_ROOT / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py`` loaded as it is, registered while it is in use."""
+    path = REPO_ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -33,6 +35,16 @@ def tracing():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    yield from _perfbench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _perfbench_module("workloads")
 
 
 def _bindings() -> dict:
@@ -52,9 +64,9 @@ def _bindings() -> dict:
     return held
 
 
-def test_studies_call_every_traced_layer(tracing, configs_dir):
-    reliability, _, _ = _study("reliability", configs_dir)
-    cost_validity, cost, metric = _study("cost_validity", configs_dir)
+def _traced(tracing, setup, run):
+    """A tracer that saw ``setup()`` as run 0 and ``run()`` as run 1, after
+    checking that every wrapped binding is back in place."""
     for layer in tracing.LAYERS:  # the tracer wraps only modules already imported
         for module, _ in layer.targets:
             importlib.import_module(module)
@@ -63,14 +75,25 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     tracer.install()
     try:
         assert not tracer.missing
+        setup()
         tracer.run_id = 1
-        demandeval.experiments.run_reliability(reliability)
-        demandeval.experiments.run_cost_validity(cost_validity, cost, metric)
+        run()
     finally:
         tracer.uninstall()
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+    return tracer
+
+
+def test_studies_call_every_traced_layer(tracing, configs_dir):
+    reliability, _, _ = _study("reliability", configs_dir)
+    cost_validity, cost, metric = _study("cost_validity", configs_dir)
+
+    def run():
+        demandeval.experiments.run_reliability(reliability)
+        demandeval.experiments.run_cost_validity(cost_validity, cost, metric)
+    tracer = _traced(tracing, lambda: None, run)
     for workload in tracing.STUDIES:
         values, unmeasured = tracing.layer_metrics(tracer, workload, [1])
         assert unmeasured == {}, workload
@@ -89,6 +112,17 @@ def test_studies_call_every_traced_layer(tracing, configs_dir):
     assert values["series.EvaluationPair.calls"] == cells == 6
     assert values["metrics.compute_metric.calls"] == 3 * len(reliability.metrics) + 3 * len(cost_validity.metrics)
     assert values["spec.spec_fast.calls"] == cells
+
+
+def test_long_pair_calls_every_traced_layer(tracing, workloads, tmp_path):
+    # the CLI session on a short pair: score it, then decompose and sweep a
+    # window, which reach spec_decompose and spec_alpha_sweep
+    workload = workloads.make("long_pair", 7, n=2_000, window=256)
+    inputs = {}
+    tracer = _traced(tracing, lambda: inputs.update(workload.make_inputs(tmp_path)),
+                     lambda: workload.run(inputs))
+    _, unmeasured = tracing.layer_metrics(tracer, "long_pair", [1])
+    assert unmeasured == {}
 
 
 def _study(name: str, configs_dir):

@@ -87,20 +87,42 @@ class TestStockCost:
         assert stock_cost(pair, params) == want
         assert spec_fast(pair, params) == want
 
-    @pytest.mark.parametrize("weights, want", [((0.75, 0.25), 2), ((1e306, 3e305), 4)])
+    @pytest.mark.parametrize("forecast, weights, want", [
+        ([0, 0, 1e308], (0.75, 0.25), 2),
+        ([0, 0, 1e308], (1e306, 3e305), 4),
+        ([[0, 0, 1e308], [0, 0, 0]], (0.75, 0.25), 5),
+        ([[0, 0, 1e308], [0, 0, 0]], (1e306, 3e305), 7),
+    ], ids=["lone", "lone-huge-weights", "block", "block-huge-weights"])
     @pytest.mark.parametrize("evaluate, module, name", [
-        (stock_cost, warehouse, "_warehouse_total"),
-        (spec_fast, spec, "_row_total"),
+        (stock_cost, warehouse, "_warehouse_totals"),
+        (spec_fast, spec, "_block_totals"),
     ], ids=["stock_cost", "spec_fast"])
-    def test_an_overflowing_pair_is_walked_once_unscaled(self, weights, want, evaluate, module, name,
-                                                         monkeypatch):
-        # the unscaled pair at the given weights, then the pair scaled; at
-        # 1e306 the scaled pair still overflows, so the weights are scaled
-        # and that pair is walked unscaled and scaled again
-        pair = EvaluationPair.from_values([1e308, 1e308, 0], [0, 0, 1e308])
+    def test_an_overflowing_pair_is_walked_once_unscaled(self, forecast, weights, want, evaluate, module,
+                                                         name, monkeypatch):
+        # the forecasts are walked once as a block, unscaled at the given
+        # weights; each row past the float range is walked again alone, on
+        # the pair scaled, and, where that still overflows (every row at
+        # 1e306, the second row at any weights: its exact cost is past the
+        # range), on the weights scaled, unscaled and then scaled again
+        pair = EvaluationPair.from_values([1e308, 1e308, 0], np.array(forecast, dtype=float))
         walk = getattr(module, name)
         walks = []
         monkeypatch.setattr(module, name, lambda *args: walks.append(args) or walk(*args))
         with np.errstate(over="ignore", invalid="ignore"):
             evaluate(pair, SpecParams(*weights))
         assert len(walks) == want
+
+    @pytest.mark.parametrize("evaluate", [stock_cost, spec_fast], ids=["stock_cost", "spec_fast"])
+    def test_a_lone_forecast_gives_a_float_and_a_block_its_bits(self, evaluate, model_b_pair):
+        # a finite pair, and rows of one actual: costless; 2.5e307, whose
+        # kernel aggregates pass the float range on the way; and 1.5e308,
+        # which both walks reach only by the rescue
+        assert type(evaluate(model_b_pair)) is float
+        actual = [1e308, 1e308, 0]
+        rows = np.array([actual, [1e308, 0, 1e308], [0, 0, 1e308]])
+        lone = [evaluate(EvaluationPair.from_values(actual, row)) for row in rows]
+        assert [type(value) for value in lone] == [float] * 3
+        assert lone == [0.0, 2.5e307, 1.5e308]
+        block = evaluate(EvaluationPair.from_values(actual, rows))
+        assert type(block) is np.ndarray and block.dtype == np.float64
+        assert block.tobytes() == np.array(lone).tobytes()
