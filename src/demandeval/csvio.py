@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidConfig, MalformedRow, SeriesError
 from .series import DemandSeries, EvaluationPair, ForecastSeries
-from .spec import AlphaSweepPoint, CostBreakdown, SpecParams
+from .spec import AlphaSweepPoint, CostBreakdown, SpecParams, one_forecast
 
 PAIR_HEADER = ("t", "actual", "forecast")
 _PAIR_DTYPE = [("t", np.int64), ("a", float), ("f", float)]
@@ -155,7 +155,8 @@ def _read_pair_rows(reader) -> tuple[list[float], list[float]]:
 
 
 def write_pair_csv(pair: EvaluationPair, target: str | Path | IO[str]) -> None:
-    """Write a pair with exact (round-trippable) float rendering."""
+    """Write a pair of one forecast with exact (round-trippable) float rendering."""
+    one_forecast(pair)  # a forecast block raises SeriesError
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             _write_pair_stream(pair, handle)

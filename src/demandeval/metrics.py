@@ -4,9 +4,10 @@ Percentage-family metrics can legitimately be infinite or undefined on
 intermittent series, so every metric returns a float instead of raising: a
 finite value, ``math.inf``, or ``math.nan`` for undefined. On a pair whose
 forecast is a (k, n) block, every metric returns a float64 array of k such
-values, each the 1-d call's value on its row bit for bit. The exact
-conventions (term skipping, scaling windows) are documented on each function
-because published definitions vary.
+values, each the lone call's value on its row bit for bit: a metric has one
+block body, and a lone forecast is its block of one row (``spec.by_row``).
+The exact conventions (term skipping, scaling windows) are documented on
+each function because published definitions vary.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def _median(x: np.ndarray):
 
 
 def _reduced(pair: EvaluationPair, terms, reduce, degrees: tuple[int, ...] = (1,)):
-    """:func:`rescued` ``reduce`` of ``terms(y, f)``; on a (k, n) forecast block,
-    ``reduce`` runs along every row at once (:func:`by_row`)."""
-    return by_row(pair, lambda y, f: rescued(reduce, *terms(y, f), degrees=degrees),
-                  lambda y, block: reduce(*terms(y, block)))
+    """``reduce`` of ``terms(y, block)`` along every row at once (:func:`by_row`);
+    a row it leaves non-finite is :func:`rescued` on its own terms."""
+    return by_row(pair, lambda y, block: reduce(*terms(y, block)),
+                  lambda y, row: rescued(reduce, *terms(y, row), degrees=degrees))
 
 
 def _errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
@@ -67,7 +68,8 @@ def _errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
 
 
 def _absolute_errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
-    return (np.abs(f - y),)
+    e = f - y
+    return (np.abs(e, out=e),)  # in place: it holds one array
 
 
 def mae(pair: EvaluationPair) -> float | np.ndarray:
@@ -90,85 +92,84 @@ def rmse(pair: EvaluationPair) -> float | np.ndarray:
     return _reduced(pair, _errors, _root_mean_square)
 
 
-def _percentage(y: np.ndarray, f: np.ndarray, reduce) -> float:
-    """``reduce`` of the terms |e_t| / y_t, or the degenerate outcome.
+def _percentage(y: np.ndarray, block: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each row's terms |e_t| / y_t, or its degenerate outcome.
 
-    Steps with y_t = 0 and e_t = 0 are skipped; any step with y_t = 0 and
-    e_t != 0 makes the whole percentage-family result positive infinity, and
-    a result with no step left is undefined. Where the reduction passes the
-    float range, it is taken again on every term scaled below 1 by one power
-    of two, which also covers a term that itself passed the range.
+    Steps with y_t = 0 and e_t = 0 are skipped; a row with volume at any step
+    with y_t = 0 is positive infinity, and a row with no step left is
+    undefined. Every other row keeps the steps where y_t != 0, so their terms
+    form one C-order array, reduced along its rows as each row's lone call
+    would be. Where a row's reduction passes the float range, it is taken
+    again on its terms scaled below 1 by one power of two, which also covers
+    a term that itself passed the range.
     """
-    e = np.abs(f - y)
-    zero_y = y == 0
-    if (zero_y & (e != 0)).any():
-        return math.inf
-    keep = ~zero_y
+    keep = y != 0
+    values = np.full(len(block), math.inf)
+    rows = np.flatnonzero(~((block != 0) & ~keep).any(axis=1))
     if not keep.any():
-        return math.nan
-    e, y = e[keep], y[keep]
-    value = reduce(e / y)
-    if value < math.inf:
-        return float(value)
-    # A term is its mantissa ratio times 2**(its exponent difference), so it
-    # is below 1 scaled by 2**-j, j one more than the largest difference.
-    (me, ee), (my, ey) = np.frexp(e), np.frexp(y)
-    j = int((ee - ey).max()) + 1
-    with np.errstate(over="ignore"):  # a value past the float range is inf
-        return float(np.ldexp(reduce(np.ldexp(me / my, ee - ey - j)), j))
+        values[rows] = math.nan
+        return values
+
+    def errors(rows: np.ndarray) -> np.ndarray:
+        # compress, not block[:, keep]: that is F-order, and sums in another order
+        e = np.compress(keep, block if rows.size == len(block) else block[rows], axis=1)
+        return np.abs(np.subtract(e, y[keep], out=e), out=e)
+
+    if rows.size:
+        terms = errors(rows)
+        values[rows] = reduce(np.divide(terms, y[keep], out=terms))
+    over = rows[~np.isfinite(values[rows])]
+    if over.size:
+        # A term is its mantissa ratio times 2**(its exponent difference), so a
+        # row's terms are below 1 scaled by 2**-j, j one more than its largest difference.
+        (me, ee), (my, ey) = np.frexp(errors(over)), np.frexp(y[keep])
+        d = ee - ey
+        j = d.max(axis=1) + 1
+        with np.errstate(over="ignore"):  # a value past the float range is inf
+            values[over] = np.ldexp(reduce(np.ldexp(me / my, d - j[:, None])), j)
+    return values
 
 
 def mape(pair: EvaluationPair) -> float | np.ndarray:
     """Mean absolute percentage error (ratio, not multiplied by 100)."""
-    return by_row(pair, lambda y, f: _percentage(y, f, _mean))
+    return by_row(pair, lambda y, block: _percentage(y, block, _mean))
 
 
 def mdape(pair: EvaluationPair) -> float | np.ndarray:
     """Median absolute percentage error, same term conventions as mape."""
-    return by_row(pair, lambda y, f: _percentage(y, f, _median))
+    return by_row(pair, lambda y, block: _percentage(y, block, _median))
 
 
 def rmspe(pair: EvaluationPair) -> float | np.ndarray:
     """Root mean squared percentage error, same term conventions as mape."""
-    return by_row(pair, lambda y, f: _percentage(y, f, _root_mean_square))
-
-
-def _smape(y: np.ndarray, f: np.ndarray) -> float:
-    denom = y + f  # both are non-negative
-    top = np.maximum.reduce(denom)
-    if top == 0:
-        return math.nan
-    if top == math.inf:
-        big = denom == math.inf
-        y, f = np.where(big, y / 2, y), np.where(big, f / 2, f)
-        denom = y + f
-    keep = denom > 0
-    return _mean(np.abs(f[keep] - y[keep]) / denom[keep])
+    return by_row(pair, lambda y, block: _percentage(y, block, _root_mean_square))
 
 
 def _smape_rows(y: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """smape of each row, NaN where :func:`_smape` must take the row: no volume,
-    or a denominator past the float range. The terms are taken for the whole
-    block, and the rows of each count c of kept terms are summed as one
-    C-contiguous (rows, c) array, which sums each row as its 1-d call does; a
-    ``where=`` mean would sum in another order."""
-    denom = y + block
-    keep = denom > 0
+    """smape of each row, NaN for a row without volume. The terms are taken for
+    the whole block, and the rows of each count c of kept terms are summed as
+    one C-contiguous (rows, c) array, which sums each row as a lone row's 1-d
+    sum does; a ``where=`` mean would sum in another order."""
+    terms = y + block  # the denominators: both are non-negative
+    if np.isinf(terms).any():
+        big = np.isinf(terms)
+        y, block = np.where(big, y / 2, y), np.where(big, block / 2, block)
+        np.add(y, block, out=terms)
+    keep = terms > 0
     groups: dict[int, list[int]] = {}  # the rows of each count of kept terms
     for row, c in enumerate(keep.sum(axis=1).tolist()):
         groups.setdefault(c, []).append(row)
     order = [row for _, rows in sorted(groups.items()) for row in rows]
-    past = np.isinf(denom).any(axis=1)
     with np.errstate(invalid="ignore"):  # 0 / 0 at the steps keep drops
-        terms = np.divide(np.abs(block - y), denom, out=denom)
-    kept = terms[order][keep[order]]  # each row's kept terms, the rows in count order
+        np.divide(*_absolute_errors(y, block), terms, out=terms)
+    terms, keep = terms[order], keep[order]  # the rows in count order
+    kept = terms[keep]
     values = np.full(len(order), math.nan)  # a row without volume stays NaN
     start = 0
     for c, rows in sorted(groups.items()):
         if c:
             values[rows] = np.add.reduce(kept[start:start + len(rows) * c].reshape(-1, c), axis=1) / c
         start += len(rows) * c
-    values[past] = math.nan
     return values
 
 
@@ -180,7 +181,7 @@ def smape(pair: EvaluationPair) -> float | np.ndarray:
     whose denominator passes the float range is taken on its halved values,
     which leaves its term exact, so it is neither a false 0 nor dropped.
     """
-    return by_row(pair, _smape, _smape_rows)
+    return by_row(pair, _smape_rows)
 
 
 def _naive_scale(reduce, steps: np.ndarray) -> float:
@@ -192,7 +193,7 @@ def _naive_scale(reduce, steps: np.ndarray) -> float:
 
 def _naive_steps(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The absolute errors, and the absolute steps of the one-step naive forecast."""
-    return np.abs(f - y), np.abs(y[1:] - y[:-1])
+    return (*_absolute_errors(y, f), *_absolute_errors(y[1:], y[:-1]))
 
 
 def _mase(e: np.ndarray, steps: np.ndarray):

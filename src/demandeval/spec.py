@@ -20,10 +20,11 @@ split is asked for. Each row's charges are summed in step order, so a row's
 score has the same bits in any block, and no Python object is kept per step.
 :func:`spec_fast` (the score, also of a block),
 :func:`spec_decompose` (the per-step split) and :func:`spec_alpha_sweep`
-(the alpha trade-off line) are all derived from it. :func:`walk_means` is the
-one entry of this walk and the warehouse oracle's: it walks a block once, and
-again, rescaled, only a row whose mean is past the float range. :func:`spec_literal` is
-the normative reference: a direct O(n^2) transcription of the definition,
+(the alpha trade-off line) are all derived from it. :func:`by_row` drives
+every score, the classic metrics' too: a lone forecast is the block of one
+row, and only a row left non-finite is taken again, by the score's rescue;
+:func:`walk_means` is this walk's and the warehouse oracle's. :func:`spec_literal`
+is the normative reference: a direct O(n^2) transcription of the definition,
 kept permanently as the oracle the kernel is tested against to 1e-9.
 """
 
@@ -289,28 +290,6 @@ def _rescaled(reduce, xs: tuple[np.ndarray, ...], degrees: tuple[int, ...] = (1,
         return float(np.ldexp(scaled, sum(d * k for d, k in zip(degrees, ks))))
 
 
-def walk_means(walk, pair: EvaluationPair, alpha1: float, alpha2: float) -> float | np.ndarray:
-    """Each forecast's total ``walk(y, block, alpha1, alpha2)`` returns, over n: a
-    float64 array for a (k, n) forecast block, a float for a lone forecast, the
-    block of one row. The block is walked once; a row whose mean is past the
-    float range is walked again on the pair, :func:`_rescaled`, and one still
-    past it on the weights rescaled likewise, with the pair :func:`rescued` at them."""
-    y, f = pair.actual.values, pair.forecast.values
-    n = y.size
-    block = f.reshape(-1, n)
-    means = walk(y, block, alpha1, alpha2) / n
-    for i in np.flatnonzero(~np.isfinite(means)):
-        def mean(a1: float, a2: float):
-            return lambda yf: walk(yf[0], yf[1:], a1, a2)[0] / n
-        yf = np.stack((y, block[i]))
-        value = _rescaled(mean(alpha1, alpha2), (yf,))
-        if not math.isfinite(value):
-            weights = np.array([alpha1, alpha2], dtype=float)
-            value = _rescaled(lambda w: rescued(mean(*w.tolist()), yf), (weights,))
-        means[i] = value
-    return means if f.ndim == 2 else means.item()
-
-
 def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
     """The value arrays of a pair of one forecast; a (k, n) forecast block raises
     :class:`SeriesError`, for the evaluators that take one forecast only."""
@@ -319,24 +298,41 @@ def one_forecast(pair: EvaluationPair) -> tuple[np.ndarray, np.ndarray]:
     return pair.actual.values, pair.forecast.values
 
 
-def by_row(pair: EvaluationPair, score, rows=None):
-    """The classic metrics' row loop (the cost walks take :func:`walk_means`): ``score(y, f)``
-    on the pair's value arrays, or, where the forecast is a (k, n) block, a
-    float64 array with each row's ``score``, bit for bit.
-
-    ``rows(y, block)`` scores the whole block at once, and every row it leaves
-    non-finite is taken again by ``score``, which holds the overflow rescues;
-    without ``rows``, ``score`` runs row by row.
-    """
+def by_row(pair: EvaluationPair, rows, rescue=None) -> float | np.ndarray:
+    """Every score's one driver: ``rows(y, block)`` scores the pair's forecast as
+    a (k, n) block, a lone forecast being the block of one row, and returns a
+    float64 array of k scores, each a row's bits in any block; each row it
+    leaves non-finite is taken again by ``rescue(y, row)`` where one is given.
+    A lone forecast gets its score as a float."""
     y, f = pair.actual.values, pair.forecast.values
-    if f.ndim == 1:
-        return score(y, f)
-    if rows is None:
-        return np.array([score(y, row) for row in f], dtype=float)
-    values = rows(y, f)
-    for i in np.flatnonzero(~np.isfinite(values)):
-        values[i] = score(y, f[i])
-    return values
+    block = f.reshape(-1, y.size)
+    values = rows(y, block)
+    if rescue is not None:
+        for i in np.flatnonzero(~np.isfinite(values)):
+            values[i] = rescue(y, block[i])
+    return values if f.ndim == 2 else values.item()
+
+
+def walk_means(walk, pair: EvaluationPair, alpha1: float, alpha2: float) -> float | np.ndarray:
+    """Each forecast's total ``walk(y, block, alpha1, alpha2)`` returns, over n,
+    by :func:`by_row`: the block is walked once, and a row whose mean is past
+    the float range is walked again on the pair, :func:`_rescaled`, and where
+    it is still past, on the weights rescaled likewise, the pair
+    :func:`rescued` at them."""
+    n = pair.n
+
+    def mean(a1: float, a2: float):
+        return lambda yf: walk(yf[0], yf[1:], a1, a2)[0] / n
+
+    def rescue(y: np.ndarray, row: np.ndarray) -> float:
+        yf = np.stack((y, row))
+        value = _rescaled(mean(alpha1, alpha2), (yf,))
+        if math.isfinite(value):
+            return value
+        weights = np.array([alpha1, alpha2], dtype=float)
+        return _rescaled(lambda w: rescued(mean(*w.tolist()), yf), (weights,))
+
+    return by_row(pair, lambda y, block: walk(y, block, alpha1, alpha2) / n, rescue)
 
 
 def spec_fast(pair: EvaluationPair, params: SpecParams = DEFAULT_PARAMS) -> float | np.ndarray:

@@ -3,22 +3,90 @@
 A block is an ``EvaluationPair`` whose forecast holds k forecasts of the
 same n steps, one per row. ``compute_metric``, the ten classic metrics,
 ``spec_fast`` and the warehouse oracle ``stock_cost`` return one float64 per
-row, and each must be exactly the value the 1-d call gives on that row, NaN
-equal to NaN, including the rows whose block form overflows and is taken
-again by the 1-d body with its rescue.
+row, and each must be exactly the value the lone call gives on that row, NaN
+equal to NaN, including the rows whose block form overflows and is rescued.
+
+Every score has one block body, and a lone call is its block of one row, so
+each classic metric's rows are also checked against a twin that scores one
+forecast as a 1-d array: :func:`_percentage` and :func:`_smape` are the 1-d
+bodies that the percentage family and sMAPE had before they took a block,
+and the twin of each other metric is ``rescued`` on its terms of the 1-d row.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from demandeval import EvaluationPair, SpecParams, experiments, spec, spec_fast, stock_cost
 from demandeval import metrics, warehouse
-from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, compute_metric, smape
+from demandeval.metrics import _METRIC_FUNCS, ExtendedValue, _mean, compute_metric, smape
+from demandeval.spec import rescued
 from demandeval.series import DemandSeries, ForecastSeries
 from test_streamed_walks import WEIGHTS, _list_warehouse_totals, _long_pairs, _open_pairs, _pairs, _same
 
 #: The kernel twin test's weightings, plus one whose charges overflow at any volume.
 SPEC_WEIGHTS = (*WEIGHTS, SpecParams(1e306, 3e305))
+
+
+def _percentage(y: np.ndarray, f: np.ndarray, reduce) -> float:
+    """``reduce`` of the terms |e_t| / y_t, or the degenerate outcome.
+
+    Steps with y_t = 0 and e_t = 0 are skipped; any step with y_t = 0 and
+    e_t != 0 makes the whole percentage-family result positive infinity, and
+    a result with no step left is undefined. Where the reduction passes the
+    float range, it is taken again on every term scaled below 1 by one power
+    of two, which also covers a term that itself passed the range.
+    """
+    e = np.abs(f - y)
+    zero_y = y == 0
+    if (zero_y & (e != 0)).any():
+        return math.inf
+    keep = ~zero_y
+    if not keep.any():
+        return math.nan
+    e, y = e[keep], y[keep]
+    value = reduce(e / y)
+    if value < math.inf:
+        return float(value)
+    # A term is its mantissa ratio times 2**(its exponent difference), so it
+    # is below 1 scaled by 2**-j, j one more than the largest difference.
+    (me, ee), (my, ey) = np.frexp(e), np.frexp(y)
+    j = int((ee - ey).max()) + 1
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return float(np.ldexp(reduce(np.ldexp(me / my, ee - ey - j)), j))
+
+
+def _smape(y: np.ndarray, f: np.ndarray) -> float:
+    denom = y + f  # both are non-negative
+    top = np.maximum.reduce(denom)
+    if top == 0:
+        return math.nan
+    if top == math.inf:
+        big = denom == math.inf
+        y, f = np.where(big, y / 2, y), np.where(big, f / 2, f)
+        denom = y + f
+    keep = denom > 0
+    return _mean(np.abs(f[keep] - y[keep]) / denom[keep])
+
+
+def _reduced_twin(terms, reduce, degrees=(1,)):
+    return lambda y, f: rescued(reduce, *terms(y, f), degrees=degrees)
+
+
+#: Each classic metric's score of one forecast, as a 1-d array.
+TWINS = {
+    "mae": _reduced_twin(metrics._absolute_errors, metrics._mean),
+    "mdae": _reduced_twin(metrics._absolute_errors, metrics._median),
+    "mse": _reduced_twin(metrics._errors, metrics._mean_square, (2,)),
+    "rmse": _reduced_twin(metrics._errors, metrics._root_mean_square),
+    "mape": lambda y, f: _percentage(y, f, metrics._mean),
+    "mdape": lambda y, f: _percentage(y, f, metrics._median),
+    "rmspe": lambda y, f: _percentage(y, f, metrics._root_mean_square),
+    "smape": _smape,
+    "mase": _reduced_twin(metrics._naive_steps, metrics._mase, (1, -1)),
+    "rmsse": _reduced_twin(metrics._naive_steps, metrics._rmsse, (1, -1)),
+}
 
 
 def _block(actual, rows) -> EvaluationPair:
@@ -79,6 +147,10 @@ def _edge_blocks() -> list[EvaluationPair]:
         _block([1e308, 1e308, 0.0], [[0.0, 0.0, 1e308], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]]),
         _block([1.5e308], [[5e307], [0.0], [1.5e308]]),
         _block([1e-200, 1.0, 1.0], [[1e-40, 1.0, 1.0], [1e300, 1.0, 0.0], [1e-200, 1.0, 1.0]]),
+        # percentage terms whose sum passes the float range, rescued at two
+        # different powers of two, next to finite rows and a row with volume where y = 0
+        _block([1e-10, 1e-10, 0.0], [[1e298, 1e298, 0.0], [1.7e298, 1e297, 0.0], [1e-10, 2e-10, 0.0],
+                                     [0.0, 0.0, 0.0], [1.0, 1.0, 5.0]]),
     ]
 
 
@@ -92,6 +164,7 @@ def _assert_rows_match(blocks, names=tuple(_METRIC_FUNCS), weights=SPEC_WEIGHTS,
                 assert got.dtype == np.float64 and got.shape == (len(rows),)
                 for row, g in zip(rows, got):
                     assert _same(g, _METRIC_FUNCS[name](row)), (name, row)
+                    assert _same(g, TWINS[name](row.actual.values, row.forecast.values)), (name, row)
             for params in weights:
                 for evaluate in evaluators:
                     got = evaluate(block, params)
@@ -151,23 +224,26 @@ def test_edge_blocks():
         assert np.isnan(_METRIC_FUNCS["mase"](blocks[1])).all()
         assert np.isnan(_METRIC_FUNCS["rmsse"](blocks[2])).all()
         # the rescues are reached: rows whose block form passes the float range
-        # (sums, smape denominators, SPEC and warehouse charges at large weights)
-        # but whose score does not
-        rescued = {"mae": 0, "smape": 0, "spec": 0, "stock_cost": 0}
+        # (sums, percentage sums, smape denominators, SPEC and warehouse charges
+        # at large weights) but whose score does not
+        reached = {"mae": 0, "mape": 0, "smape": 0, "spec": 0, "stock_cost": 0}
         for block in blocks:
             y, rows = block.actual.values, block.forecast.values
+            kept = y != 0
             plain = {
                 "mae": np.add.reduce(np.abs(rows - y), axis=1) / y.size,
+                "mape": np.add.reduce(np.abs(rows - y)[:, kept] / y[kept], axis=1) / kept.sum(),
                 "smape": np.where(np.isinf(y + rows).any(axis=1), np.inf, 0.0),
                 "spec": spec._block_totals(y, rows, 1e306, 3e305) / y.size,
                 "stock_cost": warehouse._warehouse_totals(y, rows, 1e306, 3e305) / y.size,
             }
-            scores = {"mae": _METRIC_FUNCS["mae"](block), "smape": _METRIC_FUNCS["smape"](block),
+            scores = {"mae": _METRIC_FUNCS["mae"](block), "mape": _METRIC_FUNCS["mape"](block),
+                      "smape": _METRIC_FUNCS["smape"](block),
                       "spec": spec_fast(block, SPEC_WEIGHTS[-1]),
                       "stock_cost": stock_cost(block, SPEC_WEIGHTS[-1])}
             for name, values in plain.items():
-                rescued[name] += int((~np.isfinite(values) & np.isfinite(scores[name])).sum())
-    assert all(rescued.values()), rescued
+                reached[name] += int((~np.isfinite(values) & np.isfinite(scores[name])).sum())
+    assert all(reached.values()), reached
 
 
 def test_compute_metric_wraps_the_block():
@@ -195,6 +271,6 @@ def test_smape_rows_of_every_kept_count(support):
         row[:support] = rng.uniform(0, 50, support)
         row[rng.choice(np.arange(support, n), c - support, replace=False)] = rng.uniform(0.1, 50, c - support)
     rows = rows[rng.permutation(len(counts))]
-    want = [smape(EvaluationPair(DemandSeries(actual), ForecastSeries(row))) for row in rows]
+    want = [_smape(actual, row) for row in rows]
     assert _same(metrics._smape_rows(actual, rows), want)
     assert _same(smape(_block(actual, rows)), want)

@@ -1,11 +1,13 @@
 """Series containers and validation."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from demandeval import EvaluationPair, spec_alpha_sweep, spec_decompose, spec_literal
+from demandeval.csvio import write_pair_csv
 from demandeval.errors import SeriesError
 from demandeval.metrics import ExtendedValue
 from demandeval.series import DemandSeries, ForecastSeries
@@ -89,7 +91,9 @@ class TestEvaluationPair:
             EvaluationPair.from_values([1, 2], [[1, 2, 3], [3, 2, 1]])
 
     @pytest.mark.parametrize("evaluate", [spec_literal, spec_decompose,
-                                          lambda pair: spec_alpha_sweep(pair, 3)])
+                                          lambda pair: spec_alpha_sweep(pair, 3),
+                                          pytest.param(lambda pair: write_pair_csv(pair, io.StringIO()),
+                                                       id="write_pair_csv")])
     def test_one_forecast_evaluators_reject_a_block(self, evaluate):
         with pytest.raises(SeriesError, match="expected one forecast"):
             evaluate(EvaluationPair.from_values([1, 2], [[1, 2], [2, 1]]))

@@ -1,5 +1,7 @@
 """The discrete-event cost oracle must price exactly what the score charges."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from demandeval import (
     stock_cost,
 )
 from demandeval import spec, warehouse
+from demandeval.metrics import _METRIC_FUNCS
 from conftest import random_pair
 
 
@@ -112,17 +115,26 @@ class TestStockCost:
             evaluate(pair, SpecParams(*weights))
         assert len(walks) == want
 
-    @pytest.mark.parametrize("evaluate", [stock_cost, spec_fast], ids=["stock_cost", "spec_fast"])
-    def test_a_lone_forecast_gives_a_float_and_a_block_its_bits(self, evaluate, model_b_pair):
+    @pytest.mark.parametrize("name, evaluate", [("stock_cost", stock_cost), ("spec_fast", spec_fast),
+                                                *_METRIC_FUNCS.items()], ids=["stock_cost", "spec_fast", *_METRIC_FUNCS])
+    def test_a_lone_forecast_gives_a_float_and_a_block_its_bits(self, name, evaluate, model_b_pair):
         # a finite pair, and rows of one actual: costless; 2.5e307, whose
         # kernel aggregates pass the float range on the way; and 1.5e308,
-        # which both walks reach only by the rescue
+        # which both walks reach only by the rescue; the last two have volume
+        # where the actual has none, so the percentage family is inf on them;
+        # and rows of a constant actual, on which mase and rmsse are NaN
         assert type(evaluate(model_b_pair)) is float
-        actual = [1e308, 1e308, 0]
-        rows = np.array([actual, [1e308, 0, 1e308], [0, 0, 1e308]])
-        lone = [evaluate(EvaluationPair.from_values(actual, row)) for row in rows]
-        assert [type(value) for value in lone] == [float] * 3
-        assert lone == [0.0, 2.5e307, 1.5e308]
-        block = evaluate(EvaluationPair.from_values(actual, rows))
-        assert type(block) is np.ndarray and block.dtype == np.float64
-        assert block.tobytes() == np.array(lone).tobytes()
+        cases = [([1e308, 1e308, 0], [[1e308, 1e308, 0], [1e308, 0, 1e308], [0, 0, 1e308]]),
+                 ([2, 2, 2], [[2, 2, 2], [0, 5, 1]])]
+        pins = {("stock_cost", 0): [0.0, 2.5e307, 1.5e308], ("spec_fast", 0): [0.0, 2.5e307, 1.5e308],
+                ("mape", 0): [0.0, math.inf, math.inf], ("mase", 1): [math.nan, math.nan]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for case, (actual, rows) in enumerate(cases):
+                rows = np.array(rows, dtype=float)
+                lone = [evaluate(EvaluationPair.from_values(actual, row)) for row in rows]
+                assert [type(value) for value in lone] == [float] * len(rows)
+                if (name, case) in pins:
+                    np.testing.assert_array_equal(lone, pins[name, case])
+                block = evaluate(EvaluationPair.from_values(actual, rows))
+                assert type(block) is np.ndarray and block.dtype == np.float64
+                assert block.tobytes() == np.array(lone).tobytes()
