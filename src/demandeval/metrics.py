@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .series import EvaluationPair
-from .spec import DEFAULT_PARAMS, SpecParams, by_row, rescued, spec_fast
+from .spec import DEFAULT_PARAMS, SpecParams, _rescaled, by_row, spec_fast
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def _median(x: np.ndarray):
 
 def _reduced(pair: EvaluationPair, terms, reduce, degrees: tuple[int, ...] = (1,)):
     """``reduce`` of ``terms(y, block)`` along every row at once (:func:`by_row`);
-    a row it leaves non-finite is :func:`rescued` on its own terms."""
+    a row it leaves non-finite is reduced again :func:`_rescaled` on its own terms."""
     return by_row(pair, lambda y, block: reduce(*terms(y, block)),
-                  lambda y, row: rescued(reduce, *terms(y, row), degrees=degrees))
+                  lambda y, row: _rescaled(reduce, terms(y, row), degrees))
 
 
 def _errors(y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray]:
