@@ -9,7 +9,10 @@ are evaluated in a fixed order, and aggregation uses compensated summation,
 so rerunning a config reproduces its report byte for byte. A series'
 forecasts each draw from ``default_rng`` of their own key's seed, and
 :func:`_streams` seeds all of them in one pass of :func:`_generate_state`,
-the one port of ``SeedSequence``'s mixing.
+the one port of ``SeedSequence``'s mixing. As each cell (a series and all of
+its forecasts) is seeded on its own, :func:`_pair_stream` deals the cells
+across the CPUs of the affinity mask, forking a worker for each CPU past the
+first, with no effect on a report.
 
 Desk-scale defaults (hundreds of series rather than thousands) are chosen so
 a full study finishes in seconds while keeping Monte-Carlo noise well inside
@@ -19,8 +22,13 @@ the tolerances the test suite asserts.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -339,6 +347,75 @@ def _error_config(direction: str, mu: float, sigma: float) -> ErrorInjectionConf
 _BATCH_VALUES = 2**14
 
 
+def _worker_count() -> int:
+    """The CPUs in this process's affinity mask; 1 without ``os.sched_getaffinity``,
+    on Python 3.12 and later, whose fork warns under numpy's threads, and in a
+    daemonic process, which may not have children."""
+    if (not hasattr(os, "sched_getaffinity") or sys.version_info >= (3, 12)
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cell_table(config, direction: str, metrics: list[str], params: SpecParams,
+                cost_params: SpecParams | None, cell) -> np.ndarray:
+    """One cell's scores as a float64 array: row ``i`` holds metric ``metrics[i]``
+    of each of the cell's forecasts, and a last row their warehouse costs when
+    ``cost_params`` is given."""
+    demand_key, prefix, blocks = cell
+    k = config.forecasts_per_series
+    actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
+    errors = [_error_config(direction, mu, sigma) for _, mu, sigma, _ in blocks]
+    words = _streams(config.seed, prefix, [key for *_, key in blocks], k)
+    size = max(1, _BATCH_VALUES // actual.n)
+    table = np.empty((len(metrics) + (cost_params is not None), len(words)))
+    # Values past the float range count as non-finite, without numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(words), size):
+            hi = min(lo + size, len(words))
+            streams = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words[lo:hi])
+            edges = [lo, *range(lo // k * k + k, hi, k), hi]  # where the batch's blocks meet
+            pieces = [perturb_forecast(actual, errors[a // k], islice(streams, b - a))
+                      for a, b in zip(edges, edges[1:])]
+            batch = EvaluationPair(actual, pieces[0] if len(pieces) == 1 else
+                                   ForecastSeries._owning(np.concatenate([p.values for p in pieces])))
+            if cost_params is not None:
+                table[-1, lo:hi] = stock_cost(batch, cost_params)
+            for i, m in enumerate(metrics):
+                table[i, lo:hi] = compute_metric(m, batch, params).value
+    return table
+
+
+def _worker(reader, writer, cells, score) -> None:
+    """Send ``score`` of each of ``cells`` in turn, or the error that stops them."""
+    reader.close()  # so this worker's send fails, not waits, once the parent is gone
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        for cell in cells:
+            writer.send(score(cell))
+    except Exception as exc:
+        writer.send(exc)
+
+
+def _received(reader, index: int) -> np.ndarray:
+    try:
+        table = reader.recv()
+    except EOFError:
+        raise RuntimeError(f"a study worker ended without sending cell {index}") from None
+    if isinstance(table, Exception):
+        raise table
+    return table
+
+
+def _stop(workers, readers) -> None:
+    for worker in workers:
+        worker.terminate()  # a no-op on a worker that has exited
+        worker.join()
+    for reader in readers:
+        reader.close()
+
+
 def _pair_stream(
     config: ReliabilityConfig | ValidityConfig,
     direction: str,
@@ -363,33 +440,50 @@ def _pair_stream(
     forecast order}, costs)`` for the metrics keyed in ``bad``, ``costs``
     holding each forecast's warehouse cost, or empty without ``cost_params``.
     Non-finite values stay in the block and are counted per metric into ``bad``.
+
+    The cells are dealt round-robin to W = min(:func:`_worker_count`, cells)
+    processes: this one scores cells 0, W, 2W, ... and forks W - 1 workers,
+    worker j scoring cells j, j + W, ... and sending each cell's scores over
+    its own pipe. After each of its own cells this process reads the next
+    W - 1, so blocks come in cell order with the same bits at any W. A
+    worker's error is raised at its cell's turn. If a worker cannot be
+    started (``OSError``), this process scores every cell. However the stream
+    ends, the workers are stopped and joined. A tracer or a counting patch
+    sees only this process's calls.
     """
     k = config.forecasts_per_series
-    for demand_key, prefix, blocks in cells:
-        actual = generate_demand(replace(config.demand, seed=derive_seed(config.seed, *demand_key)))
-        errors = [_error_config(direction, mu, sigma) for _, mu, sigma, _ in blocks]
-        words = _streams(config.seed, prefix, [key for *_, key in blocks], k)
-        size = max(1, _BATCH_VALUES // actual.n)
-        values: dict[str, list[float]] = {m: [] for m in bad}
-        costs: list[float] = []
-        # Values past the float range count as non-finite, without numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(words), size):
-                hi = min(lo + size, len(words))
-                streams = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words[lo:hi])
-                edges = [lo, *range(lo // k * k + k, hi, k), hi]  # where the batch's blocks meet
-                pieces = [perturb_forecast(actual, errors[a // k], islice(streams, b - a))
-                          for a, b in zip(edges, edges[1:])]
-                batch = EvaluationPair(actual, pieces[0] if len(pieces) == 1 else
-                                       ForecastSeries._owning(np.concatenate([p.values for p in pieces])))
-                costs += [] if cost_params is None else stock_cost(batch, cost_params).tolist()
-                for m in bad:
-                    scores = compute_metric(m, batch, params).value
-                    values[m] += scores.tolist()
-                    bad[m] += int(np.count_nonzero(~np.isfinite(scores)))
-        for i, (l_idx, *_) in enumerate(blocks):
-            block = slice(i * k, i * k + k)
-            yield l_idx, {m: v[block] for m, v in values.items()}, costs[block]
+    score = partial(_cell_table, config, direction, list(bad), params, cost_params)
+    cells = iter(cells)
+    head = list(islice(cells, _worker_count()))
+    cells = chain(head, cells)  # each worker iterates its own forked copy
+    workers, readers = [], []
+    try:
+        if len(head) > 1:
+            fork = multiprocessing.get_context("fork")
+            try:
+                for j in range(1, len(head)):
+                    reader, writer = fork.Pipe(duplex=False)
+                    readers.append(reader)
+                    worker = fork.Process(target=_worker, daemon=True,
+                                          args=(reader, writer, islice(cells, j, None, len(head)), score))
+                    try:
+                        worker.start()
+                    finally:
+                        writer.close()  # the worker's end then reads as EOF here
+                    workers.append(worker)
+            except OSError:
+                _stop(workers, readers)
+                workers, readers = [], []
+        w = len(workers) + 1
+        for c, cell in enumerate(cells):
+            table = _received(readers[c % w - 1], c) if c % w else score(cell)
+            for m, row in zip(bad, table):
+                bad[m] += int(np.count_nonzero(~np.isfinite(row)))
+            for i, (l_idx, *_) in enumerate(cell[2]):
+                block = table[:, i * k:i * k + k].tolist()
+                yield l_idx, dict(zip(bad, block)), block[-1] if cost_params is not None else []
+    finally:
+        _stop(workers, readers)
 
 
 def _outcome(metric: str, bad: int, xs, ys, **per_level) -> MetricOutcome:

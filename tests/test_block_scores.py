@@ -123,6 +123,7 @@ def _study_blocks() -> list[EvaluationPair]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "compute_metric", record)
+        patch.setattr(experiments, "_worker_count", lambda: 1)  # a worker's calls are not seen here
         experiments.run_reliability(config)
     # each series' 250 rows, in batches of at most _BATCH_VALUES values
     size = experiments._BATCH_VALUES // 96

@@ -5,8 +5,15 @@ reduced counts so the whole module stays fast.
 """
 
 import json
+import multiprocessing
+import multiprocessing.process
+import os
+import sys
+import time
 import tracemalloc
 from dataclasses import asdict, replace
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +32,7 @@ from demandeval import (
     run_validity,
 )
 from demandeval import experiments, metrics, simulate
-from demandeval.errors import InvalidConfig
+from demandeval.errors import InvalidConfig, SeriesError
 from demandeval.experiments import ExperimentReport, MetricOutcome, derive_seed
 
 DEMAND = DemandGenConfig(
@@ -274,6 +281,7 @@ class TestReliability:
 
         monkeypatch.setattr(simulate.np.random, "default_rng", counted_rng)
         monkeypatch.setattr(simulate.ErrorInjectionConfig, "__post_init__", counted_post_init)
+        monkeypatch.setattr(experiments, "_worker_count", lambda: 1)  # a worker's calls are not seen here
         run_reliability(config)
         # generate_demand's generator per series; a per-forecast one would make 4 per block
         assert calls == {"default_rng": 3, "ErrorInjectionConfig": 3 * len(config.variance_levels)}
@@ -458,3 +466,166 @@ class TestSharedOutcomes:
             assert outcome.r is None
         assert reports[0].metrics["mdae"].per_level_variance == (0.0, 0.0, 0.0)
         assert reports[2].metrics["mdae"].per_level_mean == (0.0, 0.0, 0.0)
+
+
+#: Small grids of every engine study, with their cell counts: one or two cells
+#: fewer than three workers, and a horizontal sweep of percentage metrics only,
+#: which scores nothing.
+_DEALT = {
+    "reliability": (lambda: run_reliability(small_reliability(series_count=5, forecasts_per_series=4)), 5),
+    "reliability-2-series": (lambda: run_reliability(small_reliability(series_count=2)), 2),
+    "reliability-non-finite": (lambda: run_reliability(small_reliability(
+        series_count=4, metrics=("mape", "spec"), error_directions="horizontal", error_mu=1.0)), 4),
+    "validity-vertical": (lambda: run_validity(small_validity(series_count=3, forecasts_per_series=4)), 9),
+    "validity-horizontal": (lambda: run_validity(small_validity(
+        direction="horizontal", mu_levels=(1.0, 2.0, 3.0), series_count=3, forecasts_per_series=4)), 9),
+    "validity-horizontal-percentage-only": (lambda: run_validity(small_validity(
+        direction="horizontal", mu_levels=(1.0, 2.0, 3.0), metrics=("mape", "smape"))), 0),
+    "cost-validity": (lambda: run_cost_validity(
+        small_reliability(series_count=4, metrics=("mae", "smape", "spec")),
+        SpecParams(0.75, 0.25), SpecParams(0.5, 0.5)), 4),
+}
+
+
+_START = multiprocessing.process.BaseProcess.start
+
+
+def _workers(monkeypatch, count: int) -> list[int]:
+    """Deal cells to ``count`` processes; the returned list counts the workers started."""
+    started = []
+
+    def counted(process):
+        started.append(1)
+        _START(process)
+
+    monkeypatch.setattr(experiments, "_worker_count", lambda: count)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def _one_cell_stream(config: ReliabilityConfig, **kwargs):
+    bad = dict.fromkeys(config.metrics, 0)
+    stream = experiments._pair_stream(
+        config, config.error_directions, islice(experiments._series_cells(config), 1), bad, **kwargs)
+    return list(stream), bad
+
+
+class TestWorkerCount:
+    def test_one_process_where_a_fork_is_not_safe(self, monkeypatch):
+        forks = hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
+        assert experiments._worker_count() == (len(os.sched_getaffinity(0)) if forks else 1)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert experiments._worker_count() == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(experiments, "sys", SimpleNamespace(version_info=(3, 12, 0)))
+        assert experiments._worker_count() == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        assert experiments._worker_count() == 1
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="no worker is forked on Python 3.12 and later")
+class TestCellsDealtToWorkers:
+    @pytest.mark.parametrize("study", sorted(_DEALT))
+    def test_reports_do_not_depend_on_the_worker_count(self, study, monkeypatch):
+        run, cells = _DEALT[study]
+        reports = {}
+        for count in (1, 2, 3):
+            started = _workers(monkeypatch, count)
+            reports[count] = run().to_json()
+            assert len(started) == max(0, min(count, cells) - 1)
+            assert multiprocessing.active_children() == []
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+
+    def test_a_single_cell_is_scored_here(self, monkeypatch):
+        config = small_reliability(metrics=("mae", "spec"))
+        want = _one_cell_stream(config, cost_params=SpecParams(0.75, 0.25))
+        started = _workers(monkeypatch, 3)
+        assert _one_cell_stream(config, cost_params=SpecParams(0.75, 0.25)) == want
+        assert started == []
+
+    def test_a_workers_error_is_raised_at_its_cell(self, monkeypatch):
+        # the second series is the worker's; the first series' blocks come before the error
+        config = small_reliability(series_count=4)
+        failing_seed = derive_seed(config.seed, 0, 1)
+        generate = experiments.generate_demand
+
+        def generate_or_fail(demand):
+            if demand.seed == failing_seed:
+                raise SeriesError("series 1 cannot be drawn")
+            return generate(demand)
+
+        monkeypatch.setattr(experiments, "generate_demand", generate_or_fail)
+        seen = {}
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            blocks = []
+            bad = dict.fromkeys(config.metrics, 0)
+            with pytest.raises(SeriesError, match=r"^series 1 cannot be drawn$"):
+                for block in experiments._pair_stream(
+                        config, config.error_directions, experiments._series_cells(config), bad):
+                    blocks.append(block)
+            seen[count] = blocks
+            assert multiprocessing.active_children() == []
+        assert len(seen[1]) == len(config.variance_levels) and seen[2] == seen[1]
+
+    def test_a_worker_that_dies_raises_here(self, monkeypatch):
+        parent = os.getpid()
+        generate = experiments.generate_demand
+
+        def generate_or_exit(demand):
+            if os.getpid() != parent:
+                os._exit(1)
+            return generate(demand)
+
+        monkeypatch.setattr(experiments, "generate_demand", generate_or_exit)
+        _workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="a study worker ended without sending cell 1"):
+            run_reliability(small_reliability(series_count=4))
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_cannot_start_leaves_the_cells_here(self, monkeypatch):
+        config = small_reliability(series_count=4)
+        want = run_reliability(config).to_json()
+        started = _workers(monkeypatch, 3)
+        start = multiprocessing.process.BaseProcess.start
+
+        def second_fails(process):
+            if started:  # the first worker has started
+                raise OSError(11, "Resource temporarily unavailable")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", second_fails)
+        assert run_reliability(config).to_json() == want
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_workers_end_with_the_stream(self, monkeypatch):
+        # the worker would take 30 s on its first cell; the stream's end stops it
+        parent = os.getpid()
+        generate = experiments.generate_demand
+
+        def generate_slowly(demand):
+            if os.getpid() != parent:
+                time.sleep(30)
+            return generate(demand)
+
+        monkeypatch.setattr(experiments, "generate_demand", generate_slowly)
+        _workers(monkeypatch, 2)
+        config = small_reliability(series_count=4)
+        began = time.monotonic()
+        bad = dict.fromkeys(config.metrics, 0)
+        stream = experiments._pair_stream(
+            config, config.error_directions, experiments._series_cells(config), bad)
+        next(stream)
+        stream.close()
+        assert multiprocessing.active_children() == []
+
+        def interrupted(values):  # the runner is interrupted at its first block
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "variance", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_reliability(config)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - began < 20

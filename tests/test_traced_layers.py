@@ -86,13 +86,18 @@ def _traced(tracing, setup, run):
     return tracer
 
 
-def test_studies_call_every_traced_layer(tracing, configs_dir):
+def test_studies_call_every_traced_layer(tracing, configs_dir, monkeypatch):
     reliability, _, _ = _study("reliability", configs_dir)
     cost_validity, cost, metric = _study("cost_validity", configs_dir)
 
     def run():
         demandeval.experiments.run_reliability(reliability)
         demandeval.experiments.run_cost_validity(cost_validity, cost, metric)
+    tracer = _traced(tracing, lambda: None, run)  # cells dealt to this machine's CPUs
+    for workload in tracing.STUDIES:
+        assert tracing.layer_metrics(tracer, workload, [1])[1] == {}, workload
+    # the counts below are of every cell, so all are scored in this process
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 1)
     tracer = _traced(tracing, lambda: None, run)
     for workload in tracing.STUDIES:
         values, unmeasured = tracing.layer_metrics(tracer, workload, [1])
