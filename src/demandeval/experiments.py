@@ -410,8 +410,9 @@ def _received(reader, index: int) -> np.ndarray:
 
 def _stop(workers, readers) -> None:
     for worker in workers:
-        worker.terminate()  # a no-op on a worker that has exited
-        worker.join()
+        if worker.pid is not None:  # None when its start failed
+            worker.terminate()  # a no-op on a worker that has exited
+            worker.join()
     for reader in readers:
         reader.close()
 
@@ -464,13 +465,12 @@ def _pair_stream(
                 for j in range(1, len(head)):
                     reader, writer = fork.Pipe(duplex=False)
                     readers.append(reader)
-                    worker = fork.Process(target=_worker, daemon=True,
-                                          args=(reader, writer, islice(cells, j, None, len(head)), score))
+                    workers.append(fork.Process(target=_worker, daemon=True, args=(
+                        reader, writer, islice(cells, j, None, len(head)), score)))
                     try:
-                        worker.start()
+                        workers[-1].start()
                     finally:
                         writer.close()  # the worker's end then reads as EOF here
-                    workers.append(worker)
             except OSError:
                 _stop(workers, readers)
                 workers, readers = [], []
